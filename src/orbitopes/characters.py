@@ -5,32 +5,33 @@ its values on the generating compositions (the composition (1) together
 with all compositions of two or more parts), and its value on a one-part
 composition (n) is forced to be the n-th power of its value on (1).
 
-Convolution combines two characters through the cut expansion of
-compositions and makes them a group.  The map ``char_to_series`` realizes
-that group inside degree-truncated series over the ribbon basis of
-noncommutative symmetric functions: coefficients c_beta are the character
-values divided by |beta|!, and the image is exactly the series with
-c_empty = 1 and n! c_(n) = c_(1)^n.
+The map ``char_to_series`` realizes the character group inside
+degree-truncated series over the ribbon basis of noncommutative symmetric
+functions: coefficients c_beta are the character values divided by
+|beta|!, and the image is exactly the series with c_empty = 1 and
+n! c_(n) = c_(1)^n.  Convolution and inversion of characters go through
+that realization, so the series product and the series inverse carry all
+the work.  Both rest on one cut kernel: the pairs (beta, gamma) whose
+ribbon product contains alpha are exactly the |alpha| + 1 cuts of alpha.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Mapping
 
-from .compositions import Composition, compositions_of, concat, near_concat, splits
+from .compositions import (EMPTY, ONE, Composition, compositions_of, concat, is_generator,
+                           near_concat, splits)
 from .hopf_monoid import OrbitClassElement
 from .jsonio import composition_from_json, composition_to_json, frac_from_str, frac_to_str
 
 DEFAULT_DEGREE = 6
 
-EMPTY = Composition()
-ONE = Composition((1,))
 
-
-def _is_generator(alpha: Composition) -> bool:
-    return len(alpha) >= 2 or alpha.parts == (1,)
+def _check_degree(degree) -> None:
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
+        raise ValueError(f"truncation degree must be a nonnegative integer, got {degree!r}")
 
 
 class Character:
@@ -42,9 +43,10 @@ class Character:
 
     def __init__(self, degree: int = DEFAULT_DEGREE,
                  values: Mapping[Composition, Fraction] = ()):
+        _check_degree(degree)
         values = {k: Fraction(v) for k, v in dict(values).items()}
         for alpha in values:
-            if not _is_generator(alpha):
+            if not is_generator(alpha):
                 raise ValueError(f"{alpha} is not a generator; one-part values are derived")
             if alpha.weight > degree:
                 raise ValueError(f"generator {alpha} exceeds truncation degree {degree}")
@@ -101,7 +103,7 @@ class Character:
 
     @classmethod
     def from_json(cls, data, degree: int | None = None) -> "Character":
-        if not isinstance(data, dict) or "values" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("values"), list):
             raise ValueError("a character must be a JSON object with a 'values' array")
         if degree is None:
             degree = data.get("degree", DEFAULT_DEGREE)
@@ -127,6 +129,7 @@ class NSymSeries:
 
     def __init__(self, degree: int = DEFAULT_DEGREE,
                  coeffs: Mapping[Composition, Fraction] = ()):
+        _check_degree(degree)
         coeffs = {k: Fraction(v) for k, v in dict(coeffs).items()}
         for alpha in coeffs:
             if alpha.weight > degree:
@@ -140,9 +143,6 @@ class NSymSeries:
 
     def coefficient(self, alpha: Composition) -> Fraction:
         return self.coeffs.get(alpha, Fraction(0))
-
-    def homogeneous(self, d: int) -> dict[Composition, Fraction]:
-        return {k: v for k, v in self.coeffs.items() if k.weight == d}
 
     def __add__(self, other: "NSymSeries") -> "NSymSeries":
         if self.degree != other.degree:
@@ -188,8 +188,8 @@ class NSymSeries:
 
     @classmethod
     def from_json(cls, data) -> "NSymSeries":
-        if not isinstance(data, dict) or "degree" not in data or "coeffs" not in data:
-            raise ValueError("a series must be a JSON object with 'degree' and 'coeffs'")
+        if not isinstance(data, dict) or "degree" not in data or not isinstance(data.get("coeffs"), list):
+            raise ValueError("a series must be a JSON object with 'degree' and a 'coeffs' array")
         coeffs = {}
         for item in data["coeffs"]:
             if not isinstance(item, dict) or "composition" not in item or "coeff" not in item:
@@ -199,39 +199,44 @@ class NSymSeries:
         return cls(data["degree"], coeffs)
 
 
+def _cut_sum(left: Mapping[Composition, Fraction], right: Mapping[Composition, Fraction],
+             alpha: Composition, first: int = 0) -> Fraction:
+    """Sum of left[beta] * right[gamma] over the cuts of alpha, from left weight ``first`` on."""
+    total = Fraction(0)
+    for beta, gamma in splits(alpha)[first:]:
+        lb = left.get(beta)
+        if lb:
+            rg = right.get(gamma)
+            if rg:
+                total += lb * rg
+    return total
+
+
 def series_mul(f: NSymSeries, g: NSymSeries) -> NSymSeries:
-    """Bilinear extension of the basis product, truncated to the common degree."""
+    """Bilinear extension of the basis product, truncated to the common degree.
+
+    Computed output-first: the coefficient on alpha is one cut sum.
+    """
     if f.degree != g.degree:
         raise ValueError("truncation degrees differ")
-    out: dict[Composition, Fraction] = {}
-    for beta, fb in f.coeffs.items():
-        for gamma, gc in g.coeffs.items():
-            if beta.weight + gamma.weight > f.degree:
-                continue
-            for alpha in ribbon_mul(beta, gamma):
-                out[alpha] = out.get(alpha, Fraction(0)) + fb * gc
+    out = {
+        alpha: _cut_sum(f.coeffs, g.coeffs, alpha)
+        for n in range(f.degree + 1)
+        for alpha in compositions_of(n)
+    }
     return NSymSeries(f.degree, out)
 
 
 def series_inverse(f: NSymSeries) -> NSymSeries:
-    """Multiplicative inverse by degree recursion; needs a nonzero constant term."""
+    """Multiplicative inverse in increasing weight; needs a nonzero constant term."""
     c0 = f.coefficient(EMPTY)
     if c0 == 0:
         raise ValueError("non-invertible series: constant coefficient is 0")
     inv: dict[Composition, Fraction] = {EMPTY: 1 / c0}
-    for d in range(1, f.degree + 1):
-        # degree-d part of f*g must vanish: c0*g_d = -sum_{b>=1} f_b * g_{d-b}
-        level: dict[Composition, Fraction] = {}
-        for b in range(1, d + 1):
-            for beta, fb in f.homogeneous(b).items():
-                for gamma in compositions_of(d - b):
-                    gc = inv.get(gamma)
-                    if gc is None:
-                        continue
-                    for alpha in ribbon_mul(beta, gamma):
-                        level[alpha] = level.get(alpha, Fraction(0)) + fb * gc
-        for alpha in compositions_of(d):
-            value = -level.get(alpha, Fraction(0)) / c0
+    for n in range(1, f.degree + 1):
+        for alpha in compositions_of(n):
+            # (f * inv)[alpha] = 0; the cut with an empty left part contributes c0 * inv[alpha]
+            value = -_cut_sum(f.coeffs, inv, alpha, 1) / c0
             if value:
                 inv[alpha] = value
     return NSymSeries(f.degree, inv)
@@ -272,7 +277,7 @@ def series_to_char(f: NSymSeries) -> Character:
     for n in range(1, f.degree + 1):
         fact = factorial(n)
         for beta in compositions_of(n):
-            if _is_generator(beta):
+            if is_generator(beta):
                 value = fact * f.coefficient(beta)
                 if value:
                     values[beta] = value
@@ -280,39 +285,11 @@ def series_to_char(f: NSymSeries) -> Character:
 
 
 def convolve(zeta: Character, psi: Character) -> Character:
-    """Convolution: split every generator, pairing zeta on the left with psi on the right."""
+    """Convolution: the realization of zeta * psi is the product of the realizations."""
     degree = min(zeta.degree, psi.degree)
-    values: dict[Composition, Fraction] = {}
-    for n in range(1, degree + 1):
-        for alpha in compositions_of(n):
-            if not _is_generator(alpha):
-                continue
-            values[alpha] = convolve_value(zeta, psi, alpha)
-    return Character(degree, values)
-
-
-def convolve_value(zeta: Character, psi: Character, alpha: Composition) -> Fraction:
-    """The convolution's value on one composition, straight from the cut expansion."""
-    n = alpha.weight
-    total = Fraction(0)
-    for beta, gamma in splits(alpha):
-        total += comb(n, beta.weight) * zeta.on_composition(beta) * psi.on_composition(gamma)
-    return total
+    return series_to_char(series_mul(char_to_series(zeta, degree), char_to_series(psi, degree)))
 
 
 def invert_character(zeta: Character) -> Character:
-    """Convolution inverse, built generator by generator in increasing weight."""
-    values: dict[Composition, Fraction] = {}
-    for n in range(1, zeta.degree + 1):
-        partial = Character(zeta.degree, values)
-        for alpha in compositions_of(n):
-            if not _is_generator(alpha):
-                continue
-            # 0 = sum over cuts; the weight-n cut contributes psi(alpha) itself
-            acc = Fraction(0)
-            for beta, gamma in splits(alpha):
-                if gamma.weight == n:
-                    continue
-                acc += comb(n, beta.weight) * zeta.on_composition(beta) * partial.on_composition(gamma)
-            values[alpha] = -acc
-    return Character(zeta.degree, values)
+    """Convolution inverse: the realization of the inverse is the inverse series."""
+    return series_to_char(series_inverse(char_to_series(zeta)))

@@ -57,6 +57,12 @@ class Composition:
 
 
 EMPTY = Composition()
+ONE = Composition((1,))
+
+
+def is_generator(alpha: Composition) -> bool:
+    """(1) and every composition of two or more parts; (n) for n >= 2 is a power of (1)."""
+    return len(alpha) >= 2 or alpha.parts == (1,)
 
 
 def concat(beta: Composition, gamma: Composition) -> Composition:

@@ -20,12 +20,8 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping
 
-from .compositions import Composition, splits
+from .compositions import ONE, Composition, compositions_of, is_generator, splits
 from .jsonio import composition_from_json, composition_to_json, frac_from_str, frac_to_str
-
-
-def is_generator(alpha: Composition) -> bool:
-    return len(alpha) >= 2 or alpha.parts == (1,)
 
 
 class GeneratorMultiset:
@@ -139,7 +135,7 @@ class HopfElement:
             raise ValueError("an element must be a JSON array of {coeff, multiset} terms")
         coeffs: dict[GeneratorMultiset, Fraction] = {}
         for term in data:
-            if not isinstance(term, dict) or "coeff" not in term or "multiset" not in term:
+            if not (isinstance(term, dict) and "coeff" in term and isinstance(term.get("multiset"), list)):
                 raise ValueError(f"malformed element term {term!r}")
             gm = GeneratorMultiset(composition_from_json(a) for a in term["multiset"])
             coeffs[gm] = coeffs.get(gm, Fraction(0)) + frac_from_str(term["coeff"])
@@ -220,7 +216,7 @@ def inject(alpha: Composition) -> HopfElement:
     if not alpha:
         return HopfElement.unit()
     if len(alpha) == 1 and alpha.weight >= 2:
-        gm = GeneratorMultiset([Composition((1,))] * alpha.weight)
+        gm = GeneratorMultiset([ONE] * alpha.weight)
     else:
         gm = GeneratorMultiset([alpha])
     return HopfElement.basis(gm)
@@ -326,8 +322,6 @@ def multiply_slots(t: TensorElement) -> HopfElement:
 
 def generator_multisets(max_degree: int) -> list[GeneratorMultiset]:
     """All basis multisets of total weight <= max_degree, by degree."""
-    from .compositions import compositions_of
-
     generators: list[Composition] = []
     for w in range(1, max_degree + 1):
         generators.extend(a for a in compositions_of(w) if is_generator(a))

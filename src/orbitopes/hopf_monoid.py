@@ -18,12 +18,10 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping
 
-from .compositions import Composition, restrict_contract
+from .compositions import ONE, Composition, restrict_contract
 from .jsonio import composition_from_json, composition_to_json
 
 Block = tuple[frozenset, Composition]
-
-ONE = Composition((1,))
 
 
 class OrbitClassElement:

@@ -20,8 +20,6 @@ from .hopf_monoid import OrbitClassElement, class_of, delta
 
 CHI_BOUND = 7
 
-EMPTY = Composition()
-
 
 class BinomialPolynomial:
     """Polynomial in t stored by its coefficients on binom(t, k)."""

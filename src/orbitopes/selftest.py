@@ -10,8 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .characters import Character, char_to_series, convolve, in_group_G, series_mul
-from .compositions import compositions_of, concat, near_concat, splits
+from .characters import Character, char_to_series, convolve, in_group_G
+from .compositions import compositions_of, concat, is_generator, near_concat, splits
 from .geometry import (
     Point,
     chamber_census,
@@ -22,6 +22,7 @@ from .geometry import (
     representative_point,
     standard_ground,
 )
+from .hopf_algebra import coproduct, inject
 from .hopf_monoid import class_of, count_structures, delta
 from .invariants import chi, chi_bruteforce
 from .enumeration import subsets
@@ -68,7 +69,7 @@ def _random_character(rng: random.Random, degree: int) -> Character:
     values = {}
     for n in range(1, degree + 1):
         for alpha in compositions_of(n):
-            if len(alpha) >= 2 or alpha.parts == (1,):
+            if is_generator(alpha):
                 values[alpha] = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
     return Character(degree, values)
 
@@ -131,11 +132,7 @@ def suite_normal_equivalence(max_n: int) -> tuple[int, int]:
 
 
 def _chamber_fingerprint(p: Point) -> frozenset:
-    census = chamber_census(p)
-    grouped: dict[Point, set] = {}
-    for order, vertex in census.items():
-        grouped.setdefault(vertex, set()).add(order)
-    return frozenset(frozenset(orders) for orders in grouped.values())
+    return frozenset(frozenset(orders) for orders in _group_census(chamber_census(p)).values())
 
 
 def suite_base_polytope(count: int, max_n: int) -> tuple[int, int]:
@@ -185,16 +182,34 @@ def suite_species(max_n: int) -> tuple[int, int]:
     return passed, failed
 
 
+def _on_multiset(zeta: Character, gm) -> Fraction:
+    value = Fraction(1)
+    for alpha in gm:
+        value *= zeta.on_composition(alpha)
+    return value
+
+
 def suite_characters(count: int, degree: int) -> tuple[int, int]:
-    """Convolution realizes as series multiplication and lands in the group."""
+    """Convolution matches its defining formula on the coproduct and lands in the group."""
     rng = random.Random(SEED + 2)
+    coproducts = {
+        alpha: coproduct(inject(alpha)).coeffs
+        for n in range(degree + 1)
+        for alpha in compositions_of(n)
+    }
+    multisets = {gm for terms in coproducts.values() for key in terms for gm in key}
     passed = failed = 0
     for _ in range(count):
         zeta = _random_character(rng, degree)
         psi = _random_character(rng, degree)
-        lhs = char_to_series(convolve(zeta, psi))
-        rhs = series_mul(char_to_series(zeta), char_to_series(psi))
-        ok = lhs == rhs and in_group_G(lhs)
+        conv = convolve(zeta, psi)
+        on_zeta = {gm: _on_multiset(zeta, gm) for gm in multisets}
+        on_psi = {gm: _on_multiset(psi, gm) for gm in multisets}
+        ok = in_group_G(char_to_series(conv)) and all(
+            conv.on_composition(alpha)
+            == sum(c * on_zeta[left] * on_psi[right] for (left, right), c in terms.items())
+            for alpha, terms in coproducts.items()
+        )
         passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
     return passed, failed
 

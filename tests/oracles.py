@@ -3,12 +3,16 @@
 Nothing here reuses the code path it checks: splits are found by
 exhaustive pair search, generating-function coefficients come from a
 direct exp-as-sum expansion, maximal faces from argmax over all
-vertices, and polynomial identities from pointwise evaluation.
+vertices, polynomial identities from pointwise evaluation, the series
+product from every pair of coefficients, and convolution values from the
+binomial cut formula on the characters themselves.
 """
 
 from fractions import Fraction
+from math import comb
 
-from orbitopes.compositions import Composition, compositions_of, concat, near_concat
+from orbitopes.characters import Character, NSymSeries, ribbon_mul
+from orbitopes.compositions import Composition, compositions_of, concat, near_concat, splits
 from orbitopes.enumeration import set_partitions
 from orbitopes.geometry import Point, orbit_vertices
 
@@ -103,3 +107,26 @@ def binom_frac(t, k) -> Fraction:
     for i in range(k):
         out = out * (t - i) / (i + 1)
     return out
+
+
+def pairwise_series_mul(f: NSymSeries, g: NSymSeries) -> NSymSeries:
+    """Bilinear extension of the basis product, truncated to the common degree."""
+    if f.degree != g.degree:
+        raise ValueError("truncation degrees differ")
+    out: dict[Composition, Fraction] = {}
+    for beta, fb in f.coeffs.items():
+        for gamma, gc in g.coeffs.items():
+            if beta.weight + gamma.weight > f.degree:
+                continue
+            for alpha in ribbon_mul(beta, gamma):
+                out[alpha] = out.get(alpha, Fraction(0)) + fb * gc
+    return NSymSeries(f.degree, out)
+
+
+def convolve_value(zeta: Character, psi: Character, alpha: Composition) -> Fraction:
+    """The convolution's value on one composition, straight from the cut expansion."""
+    n = alpha.weight
+    total = Fraction(0)
+    for beta, gamma in splits(alpha):
+        total += comb(n, beta.weight) * zeta.on_composition(beta) * psi.on_composition(gamma)
+    return total

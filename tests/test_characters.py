@@ -8,7 +8,6 @@ from orbitopes.characters import (
     NSymSeries,
     char_to_series,
     convolve,
-    convolve_value,
     in_group_G,
     invert_character,
     ribbon_mul,
@@ -18,6 +17,7 @@ from orbitopes.characters import (
 )
 from orbitopes.compositions import Composition, compositions_of
 from orbitopes.hopf_monoid import class_of, mu
+from oracles import convolve_value, pairwise_series_mul
 
 C = Composition
 F = Fraction
@@ -142,6 +142,7 @@ def test_convolve_examples():
     assert conv.on_composition(C((2,))) == 0
 
     assert convolve_value(basic, basic, C((1, 1))) == 2
+    assert convolve(basic, basic).on_composition(C((1, 1))) == 2
 
 
 def test_convolve_is_multiplicative_on_one_part_classes():
@@ -181,7 +182,10 @@ def test_inversion_matches_series_inversion():
     rng = random.Random(10)
     for _ in range(20):
         zeta = random_character(rng)
-        assert char_to_series(invert_character(zeta)) == series_inverse(char_to_series(zeta))
+        f = char_to_series(zeta)
+        inverse = char_to_series(invert_character(zeta))
+        assert inverse == series_inverse(f)
+        assert pairwise_series_mul(f, inverse) == NSymSeries.unit(f.degree)
 
 
 def test_group_homomorphism_random():
@@ -189,9 +193,29 @@ def test_group_homomorphism_random():
     for _ in range(25):
         zeta, psi = random_character(rng), random_character(rng)
         lhs = char_to_series(convolve(zeta, psi))
-        rhs = series_mul(char_to_series(zeta), char_to_series(psi))
+        rhs = pairwise_series_mul(char_to_series(zeta), char_to_series(psi))
         assert lhs == rhs
         assert in_group_G(lhs)
+
+
+def random_invertible_series(rng, degree, density) -> NSymSeries:
+    coeffs = {C(()): F(rng.randint(1, 5), rng.randint(1, 3))}
+    for n in range(1, degree + 1):
+        for alpha in compositions_of(n):
+            if rng.random() < density:
+                coeffs[alpha] = F(rng.randint(-4, 4), rng.randint(1, 3))
+    return NSymSeries(degree, coeffs)
+
+
+def test_series_kernel_matches_pairwise_oracle():
+    # dense (every coefficient drawn) and sparse supports, degrees 0..7
+    rng = random.Random(16)
+    for degree in range(8):
+        for density in (1.0, 0.2):
+            f = random_invertible_series(rng, degree, density)
+            g = random_invertible_series(rng, degree, density)
+            assert series_mul(f, g) == pairwise_series_mul(f, g)
+            assert pairwise_series_mul(f, series_inverse(f)) == NSymSeries.unit(degree)
 
 
 def test_G_closure():
@@ -217,6 +241,11 @@ def test_character_validation():
         Character(2, {C((1, 1, 1)): F(1)})
     with pytest.raises(ValueError, match="degree"):
         Character(2, {}).on_composition(C((3,)))
+    for degree in ("4", -1, True, 2.0):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            Character(degree, {})
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            NSymSeries(degree, {})
 
 
 def test_series_json_roundtrip():

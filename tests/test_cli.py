@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -155,7 +159,17 @@ def test_count_cli(capsys):
     assert code == 0 and json.loads(out) == {"count": 29}
 
 
-def test_malformed_json_is_exit_2(capsys):
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitopes", "count", "--n", "4"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"count": 29}
+
+
+def test_malformed_json_is_exit_2(tmp_path, capsys):
     code, _, err = invoke(capsys, "classify", "--point", "{not json")
     assert code == 2 and "invalid JSON" in err
 
@@ -164,6 +178,31 @@ def test_malformed_json_is_exit_2(capsys):
 
     code, _, err = invoke(capsys, "chi", "--composition", '["x"]')
     assert code == 2
+
+    code, _, err = invoke(capsys, "antipode", "--element", '[{"coeff": "1", "multiset": 5}]')
+    assert code == 2 and "malformed element term" in err
+
+    def write(name, payload):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    for i, payload in enumerate([
+        {"degree": "6", "coeffs": [{"composition": [], "coeff": "1"}]},
+        {"degree": -1, "coeffs": []},
+        {"degree": True, "coeffs": []},
+        {"degree": 6, "coeffs": 5},
+    ]):
+        code, out, err = invoke(capsys, "series-inv", "--series", write(f"series{i}.json", payload))
+        assert code == 2 and out == "" and err.startswith("error: series:"), payload
+
+    values_int = write("values_int.json", {"degree": 4, "values": 5})
+    code, out, err = invoke(capsys, "convolve", "--char", values_int, "--char", values_int)
+    assert code == 2 and out == "" and "'values' array" in err
+
+    empty = write("empty_char.json", {"degree": -3, "values": []})
+    code, out, err = invoke(capsys, "convolve", "--char", empty, "--char", empty, "--degree", "-3")
+    assert code == 2 and out == "" and "nonnegative integer" in err
 
 
 def test_unknown_command_is_exit_2(capsys):
