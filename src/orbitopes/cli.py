@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("convolve", cmd_convolve, help="convolve two characters from files")
     p.add_argument("--char", action="append", required=True, help="path to a character JSON file; give twice")
-    p.add_argument("--degree", type=int, default=6)
+    p.add_argument("--degree", type=int, default=None, help="overrides each file's degree")
 
     p = add("series-mul", cmd_series_mul, help="multiply two ribbon series from files")
     p.add_argument("--series", action="append", required=True, help="give twice")

@@ -194,8 +194,9 @@ def composition_of_point(p: Point) -> Composition:
     return Composition(len(list(run)) for _, run in groupby(sorted_values(p)))
 
 
-def orbit_vertices(p: Point) -> set[Point]:
+def orbit_vertices(p: Point, bound: int | None = None) -> set[Point]:
     """All distinct coordinate rearrangements of p; these are the orbit polytope's vertices."""
+    _check_bound(len(p.ground), bound)
     return {
         Point.from_values(p.ground, arrangement)
         for arrangement in distinct_permutations(p.values)
@@ -258,7 +259,7 @@ def check_base_polytope(p: Point, bound: int | None = None) -> bool:
     the label positions, sharing one addition per (vertex, subset) pair.
     """
     n = len(p.ground)
-    _check_bound(n, bound)
+    vertices = orbit_vertices(p, bound)
     values = sorted_values(p)
     prefix = [Fraction(0)]
     for v in values:
@@ -266,7 +267,7 @@ def check_base_polytope(p: Point, bound: int | None = None) -> bool:
     size = 1 << n
     best: list[Fraction | None] = [None] * size
     zero = Fraction(0)
-    for vertex in orbit_vertices(p):
+    for vertex in vertices:
         vals = vertex.values
         sums = [zero] * size
         for m in range(1, size):

@@ -10,13 +10,15 @@ quotient.
 The coproduct of a generator sums over all cuts of the composition,
 weighted by the binomial coefficient of the cut weight; it extends to
 multisets as an algebra map and to arbitrary elements linearly.  The
-antipode is computed by degree recursion from its defining identity.
+antipode of a generator is solved from its defining identity over the
+same cuts, and extends multiplicatively, since the algebra is commutative.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb
 from typing import Iterable, Mapping
 
@@ -65,8 +67,16 @@ class GeneratorMultiset:
 EMPTY_MULTISET = GeneratorMultiset()
 
 
-def _clean(coeffs: dict) -> dict:
-    return {k: v for k, v in coeffs.items() if v}
+def _linear(terms) -> dict:
+    """Sum (key, coefficient) pairs into one dict, dropping zero coefficients."""
+    out: dict = {}
+    for key, value in terms:
+        # one lookup and one store per term: multiset keys are costly to hash
+        old = out.get(key)
+        out[key] = value if old is None else old + value
+    for key in [k for k, v in out.items() if not v]:
+        del out[key]
+    return out
 
 
 class HopfElement:
@@ -75,7 +85,7 @@ class HopfElement:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[GeneratorMultiset, Fraction] = ()):
-        self.coeffs = _clean({k: Fraction(v) for k, v in dict(coeffs).items()})
+        self.coeffs = _linear((k, Fraction(v)) for k, v in dict(coeffs).items())
 
     @classmethod
     def unit(cls) -> "HopfElement":
@@ -86,10 +96,7 @@ class HopfElement:
         return cls({gm: Fraction(1)})
 
     def __add__(self, other: "HopfElement") -> "HopfElement":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return HopfElement(out)
+        return HopfElement(_linear(chain(self.coeffs.items(), other.coeffs.items())))
 
     def __sub__(self, other: "HopfElement") -> "HopfElement":
         return self + (-1) * other
@@ -106,15 +113,6 @@ class HopfElement:
 
     def __hash__(self) -> int:
         return hash(frozenset(self.coeffs.items()))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def homogeneous(self, d: int) -> "HopfElement":
-        return HopfElement({k: v for k, v in self.coeffs.items() if k.degree == d})
-
-    def max_degree(self) -> int:
-        return max((k.degree for k in self.coeffs), default=0)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -148,7 +146,7 @@ class TensorElement:
     __slots__ = ("coeffs", "arity")
 
     def __init__(self, coeffs: Mapping[tuple, Fraction] = (), arity: int = 2):
-        coeffs = _clean({tuple(k): Fraction(v) for k, v in dict(coeffs).items()})
+        coeffs = _linear((tuple(k), Fraction(v)) for k, v in dict(coeffs).items())
         for key in coeffs:
             if len(key) != arity:
                 raise ValueError(f"tensor key {key} does not have arity {arity}")
@@ -158,10 +156,7 @@ class TensorElement:
     def __add__(self, other: "TensorElement") -> "TensorElement":
         if self.arity != other.arity:
             raise ValueError("tensor arities differ")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return TensorElement(out, self.arity)
+        return TensorElement(_linear(chain(self.coeffs.items(), other.coeffs.items())), self.arity)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + (-1) * other
@@ -174,12 +169,11 @@ class TensorElement:
         """Componentwise product: multisets union slotwise, coefficients multiply."""
         if self.arity != other.arity:
             raise ValueError("tensor arities differ")
-        out: dict[tuple, Fraction] = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                key = tuple(a.union(b) for a, b in zip(k1, k2))
-                out[key] = out.get(key, Fraction(0)) + v1 * v2
-        return TensorElement(out, self.arity)
+        return TensorElement(_linear(
+            (tuple(a.union(b) for a, b in zip(k1, k2)), v1 * v2)
+            for k1, v1 in self.coeffs.items()
+            for k2, v2 in other.coeffs.items()
+        ), self.arity)
 
     def __eq__(self, other) -> bool:
         return (
@@ -187,9 +181,6 @@ class TensorElement:
             and self.arity == other.arity
             and self.coeffs == other.coeffs
         )
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -211,37 +202,32 @@ def tensor(x: HopfElement, y: HopfElement) -> TensorElement:
     return TensorElement(out, 2)
 
 
+def _class(alpha: Composition) -> GeneratorMultiset:
+    """The basis multiset of a composition: (1)^n for the one-part (n), else alpha itself."""
+    if len(alpha) == 1:
+        return GeneratorMultiset([ONE] * alpha.weight)
+    return GeneratorMultiset([alpha] if alpha else [])
+
+
 def inject(alpha: Composition) -> HopfElement:
     """The class of a composition: a generator, or (1)^n for the one-part (n)."""
-    if not alpha:
-        return HopfElement.unit()
-    if len(alpha) == 1 and alpha.weight >= 2:
-        gm = GeneratorMultiset([ONE] * alpha.weight)
-    else:
-        gm = GeneratorMultiset([alpha])
-    return HopfElement.basis(gm)
+    return HopfElement.basis(_class(alpha))
 
 
 def product(x: HopfElement, y: HopfElement) -> HopfElement:
     """Bilinear extension of multiset union."""
-    out: dict[GeneratorMultiset, Fraction] = {}
-    for k1, v1 in x.coeffs.items():
-        for k2, v2 in y.coeffs.items():
-            key = k1.union(k2)
-            out[key] = out.get(key, Fraction(0)) + v1 * v2
-    return HopfElement(out)
+    return HopfElement(_linear(
+        (k1.union(k2), v1 * v2) for k1, v1 in x.coeffs.items() for k2, v2 in y.coeffs.items()
+    ))
 
 
 @lru_cache(maxsize=None)
 def _coproduct_generator(alpha: Composition) -> TensorElement:
-    out: dict[tuple, Fraction] = {}
+    # one term per cut; the left degrees differ, so the keys are distinct
     n = alpha.weight
-    for beta, gamma in splits(alpha):
-        weight = Fraction(comb(n, beta.weight))
-        term = weight * tensor(inject(beta), inject(gamma))
-        for k, v in term.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-    return TensorElement(out, 2)
+    return TensorElement(
+        {(_class(beta), _class(gamma)): comb(n, beta.weight) for beta, gamma in splits(alpha)}, 2
+    )
 
 
 @lru_cache(maxsize=None)
@@ -254,21 +240,18 @@ def _coproduct_basis(gm: GeneratorMultiset) -> TensorElement:
 
 def coproduct(x: HopfElement) -> TensorElement:
     """Algebra-map coproduct: product over each multiset member's cut expansion."""
-    out = TensorElement({}, 2)
-    for gm, v in x.coeffs.items():
-        out = out + v * _coproduct_basis(gm)
-    return out
+    return TensorElement(_linear(
+        (key, v * w) for gm, v in x.coeffs.items() for key, w in _coproduct_basis(gm).coeffs.items()
+    ), 2)
 
 
 def coproduct_in_slot(t: TensorElement, slot: int) -> TensorElement:
     """Apply the coproduct in one tensor slot, raising the arity by one."""
-    out: dict[tuple, Fraction] = {}
-    for key, v in t.coeffs.items():
-        inner = _coproduct_basis(key[slot])
-        for ikey, iv in inner.coeffs.items():
-            new_key = key[:slot] + ikey + key[slot + 1:]
-            out[new_key] = out.get(new_key, Fraction(0)) + v * iv
-    return TensorElement(out, t.arity + 1)
+    return TensorElement(_linear(
+        (key[:slot] + inner + key[slot + 1:], v * w)
+        for key, v in t.coeffs.items()
+        for inner, w in _coproduct_basis(key[slot]).coeffs.items()
+    ), t.arity + 1)
 
 
 def counit(x: HopfElement) -> Fraction:
@@ -277,47 +260,46 @@ def counit(x: HopfElement) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def _antipode_generator(alpha: Composition) -> HopfElement:
+    # m(S (x) id)Delta(alpha) = 0 summed over the cuts of alpha; the last cut,
+    # alpha (x) empty, carries S(alpha), and the others have lower left degree
+    n = alpha.weight
+    return HopfElement(_linear(
+        (left.union(_class(gamma)), -comb(n, beta.weight) * v)
+        for beta, gamma in splits(alpha)[:-1]
+        for left, v in _antipode_basis(_class(beta)).coeffs.items()
+    ))
+
+
+@lru_cache(maxsize=None)
 def _antipode_basis(gm: GeneratorMultiset) -> HopfElement:
-    # degree recursion: the identity m(S (x) id)Delta = unit.counit pins S(x)
-    # once S is known below degree |x|
-    if gm.degree == 0:
-        return HopfElement.unit()
-    n = gm.degree
-    acc = HopfElement()
-    for (left, right), v in _coproduct_basis(gm).coeffs.items():
-        if left.degree == n:
-            continue  # the x (x) empty term carries S(x) itself
-        acc = acc + v * product(_antipode_basis(left), HopfElement.basis(right))
-    return (-1) * acc
+    # the algebra is commutative, so S is an algebra map
+    out = HopfElement.unit()
+    for alpha in gm:
+        out = out * _antipode_generator(alpha)
+    return out
 
 
 def antipode(x: HopfElement) -> HopfElement:
-    out = HopfElement()
-    for gm, v in x.coeffs.items():
-        out = out + v * _antipode_basis(gm)
-    return out
+    return HopfElement(_linear(
+        (key, v * w) for gm, v in x.coeffs.items() for key, w in _antipode_basis(gm).coeffs.items()
+    ))
 
 
 def apply_antipode_slot(t: TensorElement, slot: int) -> TensorElement:
     """Replace one tensor slot by its antipode (used to state the defining identity)."""
-    out = TensorElement({}, t.arity)
-    for key, v in t.coeffs.items():
-        replaced = _antipode_basis(key[slot])
-        for gm, iv in replaced.coeffs.items():
-            term = {key[:slot] + (gm,) + key[slot + 1:]: v * iv}
-            out = out + TensorElement(term, t.arity)
-    return out
+    return TensorElement(_linear(
+        (key[:slot] + (gm,) + key[slot + 1:], v * w)
+        for key, v in t.coeffs.items()
+        for gm, w in _antipode_basis(key[slot]).coeffs.items()
+    ), t.arity)
 
 
 def multiply_slots(t: TensorElement) -> HopfElement:
     """Multiply all tensor slots back down to the algebra."""
-    out: dict[GeneratorMultiset, Fraction] = {}
-    for key, v in t.coeffs.items():
-        merged = EMPTY_MULTISET
-        for gm in key:
-            merged = merged.union(gm)
-        out[merged] = out.get(merged, Fraction(0)) + v
-    return HopfElement(out)
+    return HopfElement(_linear(
+        (GeneratorMultiset(a for gm in key for a in gm), v) for key, v in t.coeffs.items()
+    ))
 
 
 def generator_multisets(max_degree: int) -> list[GeneratorMultiset]:

@@ -177,15 +177,18 @@ def _generator_count(m: int) -> int:
     return 2 ** (m - 1) - 1
 
 
-@lru_cache(maxsize=None)
+# _COUNTS[n] = count_structures(n), filled bottom-up so no call recurses
+_COUNTS = [1]
+
+
 def count_structures(n: int) -> int:
     """Number of elements over n labels: set partitions weighted by per-block class counts."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1
-    # condition on the block containing the last label
-    total = 0
-    for k in range(1, n + 1):
-        total += comb(n - 1, k - 1) * _generator_count(k) * count_structures(n - k)
-    return total
+    while len(_COUNTS) <= n:
+        m = len(_COUNTS)
+        # condition on the block containing the last label
+        _COUNTS.append(sum(
+            comb(m - 1, k - 1) * _generator_count(k) * _COUNTS[m - k] for k in range(1, m + 1)
+        ))
+    return _COUNTS[n]

@@ -4,17 +4,21 @@ Nothing here reuses the code path it checks: splits are found by
 exhaustive pair search, generating-function coefficients come from a
 direct exp-as-sum expansion, maximal faces from argmax over all
 vertices, polynomial identities from pointwise evaluation, the series
-product from every pair of coefficients, and convolution values from the
-binomial cut formula on the characters themselves.
+product from every pair of coefficients, convolution values from the
+binomial cut formula on the characters themselves, the antipode from the
+degree recursion on whole multisets, and structure counts from Stirling
+numbers.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from orbitopes.characters import Character, NSymSeries, ribbon_mul
 from orbitopes.compositions import Composition, compositions_of, concat, near_concat, splits
 from orbitopes.enumeration import set_partitions
 from orbitopes.geometry import Point, orbit_vertices
+from orbitopes.hopf_algebra import GeneratorMultiset, HopfElement, coproduct, product
 
 
 def brute_force_splits(alpha):
@@ -129,4 +133,40 @@ def convolve_value(zeta: Character, psi: Character, alpha: Composition) -> Fract
     total = Fraction(0)
     for beta, gamma in splits(alpha):
         total += comb(n, beta.weight) * zeta.on_composition(beta) * psi.on_composition(gamma)
+    return total
+
+
+@lru_cache(maxsize=None)
+def _recursive_antipode_basis(gm: GeneratorMultiset) -> HopfElement:
+    # m(S (x) id)Delta(x) = counit(x) 1 pins S(x) once S is known below degree |x|
+    if gm.degree == 0:
+        return HopfElement.unit()
+    acc = HopfElement()
+    for (left, right), v in coproduct(HopfElement.basis(gm)).coeffs.items():
+        if left.degree < gm.degree:
+            acc = acc + v * product(_recursive_antipode_basis(left), HopfElement.basis(right))
+    return (-1) * acc
+
+
+def recursive_antipode(x: HopfElement) -> HopfElement:
+    """The antipode by degree recursion on whole basis multisets, from the coproduct."""
+    acc = HopfElement()
+    for gm, v in x.coeffs.items():
+        acc = acc + v * _recursive_antipode_basis(gm)
+    return acc
+
+
+def stirling_species_count(n: int) -> int:
+    """n! [t^n] exp((e^t - 1)^2 / 2 + t) = sum over j of (2j - 1)!! S(n + 1, 2j + 1).
+
+    e^t (e^t - 1)^m / m! generates the Stirling numbers S(n + 1, m + 1), and
+    exp(u^2 / 2) = sum over j of (2j - 1)!! u^(2j) / (2j)!.
+    """
+    row = [1]  # S(m, k) for k = 0..m, from m = 0 up to m = n + 1
+    for _ in range(n + 1):
+        row = [0] + [k * s + t for k, (s, t) in enumerate(zip(row[1:] + [0], row), start=1)]
+    total, double_factorial = 0, 1
+    for j in range(len(row) // 2):
+        total += double_factorial * row[2 * j + 1]
+        double_factorial *= 2 * j + 1
     return total

@@ -11,6 +11,7 @@ from orbitopes.characters import Character, NSymSeries, char_to_series, convolve
 from orbitopes.compositions import Composition
 from orbitopes.hopf_algebra import HopfElement, antipode, inject
 from orbitopes.invariants import chi
+from oracles import stirling_species_count
 
 C = Composition
 
@@ -35,6 +36,16 @@ def test_vertices(capsys):
     got = json.loads(out)["vertices"]
     assert len(got) == 3
     assert {"x": "1", "y": "1", "z": "0"} in got
+
+
+def test_vertices_size_bound(capsys, monkeypatch):
+    point = json.dumps({str(i): "1" if i else "0" for i in range(9)})
+    code, out, _ = invoke(capsys, "vertices", "--point", point)
+    assert code == 1 and "bound" in json.loads(out)["error"]
+
+    monkeypatch.setenv("ORBITOPE_MAX_N", "9")
+    code, out, _ = invoke(capsys, "vertices", "--point", point)
+    assert code == 0 and len(json.loads(out)["vertices"]) == 9
 
 
 def test_maxface(capsys):
@@ -131,6 +142,16 @@ def test_convolve_cli(tmp_path, capsys):
     assert data["series"] == char_to_series(expected).to_json()
 
 
+def test_convolve_reads_the_files_degree(tmp_path, capsys):
+    f1 = tmp_path / "basic.json"
+    f1.write_text(json.dumps(Character.basic(4).to_json()))
+    code, out, _ = invoke(capsys, "convolve", "--char", str(f1), "--char", str(f1))
+    assert code == 0
+    data = json.loads(out)
+    assert data["character"]["degree"] == 4
+    assert data["character"] == convolve(Character.basic(4), Character.basic(4)).to_json()
+
+
 def test_series_mul_and_inv_cli(tmp_path, capsys):
     f = char_to_series(Character.basic(3))
     path = tmp_path / "f.json"
@@ -159,14 +180,25 @@ def test_count_cli(capsys):
     assert code == 0 and json.loads(out) == {"count": 29}
 
 
-def test_python_dash_m_runs_the_cli():
+def python_dash_m(*argv):
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "orbitopes", "count", "--n", "4"],
+    return subprocess.run(
+        [sys.executable, "-m", "orbitopes", *argv],
         capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)),
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = python_dash_m("count", "--n", "4")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"count": 29}
+
+
+def test_count_600_in_a_fresh_process():
+    # a fresh interpreter starts with an empty table, so nothing is precomputed
+    proc = python_dash_m("count", "--n", "600")
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    assert json.loads(proc.stdout) == {"count": stirling_species_count(600)}
 
 
 def test_malformed_json_is_exit_2(tmp_path, capsys):
@@ -203,6 +235,11 @@ def test_malformed_json_is_exit_2(tmp_path, capsys):
     empty = write("empty_char.json", {"degree": -3, "values": []})
     code, out, err = invoke(capsys, "convolve", "--char", empty, "--char", empty, "--degree", "-3")
     assert code == 2 and out == "" and "nonnegative integer" in err
+
+    for value in ["2/4", "1.5", " 3 ", "1e2000000", "+3", "3/-1"]:
+        point = json.dumps({"a": value, "b": "1"})
+        code, out, err = invoke(capsys, "classify", "--point", point)
+        assert code == 2 and out == "" and "malformed rational" in err, value
 
 
 def test_unknown_command_is_exit_2(capsys):

@@ -21,7 +21,7 @@ from orbitopes.hopf_monoid import (
     mu,
     relabel,
 )
-from oracles import count_by_enumeration
+from oracles import count_by_enumeration, stirling_species_count
 
 C = Composition
 
@@ -228,6 +228,11 @@ def test_count_structures_examples():
 def test_count_structures_matches_direct_partition_sum():
     for n in range(8):
         assert count_structures(n) == count_by_enumeration(n)
+
+
+def test_count_structures_matches_stirling_closed_form():
+    for n in [600, 300, *range(21)]:
+        assert count_structures(n) == stirling_species_count(n), n
 
 
 def test_element_json_roundtrip():
