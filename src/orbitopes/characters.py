@@ -88,11 +88,11 @@ class Character:
         )
 
     def __repr__(self) -> str:
-        vals = {tuple(k.parts): str(v) for k, v in sorted(self.values.items(), key=lambda kv: kv[0].parts)}
+        vals = {tuple(k): str(v) for k, v in sorted(self.values.items())}
         return f"Character(degree={self.degree}, values={vals})"
 
     def to_json(self) -> dict:
-        ordered = sorted(self.values.items(), key=lambda kv: (kv[0].weight, kv[0].parts))
+        ordered = sorted(self.values.items(), key=lambda kv: (kv[0].weight, kv[0]))
         return {
             "degree": self.degree,
             "values": [
@@ -111,7 +111,10 @@ class Character:
         for item in data["values"]:
             if not isinstance(item, dict) or "composition" not in item or "value" not in item:
                 raise ValueError(f"malformed character value {item!r}")
-            values[composition_from_json(item["composition"])] = frac_from_str(item["value"])
+            alpha = composition_from_json(item["composition"])
+            if alpha in values:
+                raise ValueError(f"composition {composition_to_json(alpha)} is given twice")
+            values[alpha] = frac_from_str(item["value"])
         return cls(degree, values)
 
 
@@ -172,12 +175,12 @@ class NSymSeries:
     def __repr__(self) -> str:
         if not self.coeffs:
             return "NSymSeries(0)"
-        terms = sorted(self.coeffs.items(), key=lambda kv: (kv[0].weight, kv[0].parts))
-        body = " + ".join(f"{v}*R{tuple(k.parts)}" for k, v in terms)
+        terms = sorted(self.coeffs.items(), key=lambda kv: (kv[0].weight, kv[0]))
+        body = " + ".join(f"{v}*R{tuple(k)}" for k, v in terms)
         return f"NSymSeries({body}; deg<={self.degree})"
 
     def to_json(self) -> dict:
-        ordered = sorted(self.coeffs.items(), key=lambda kv: (kv[0].weight, kv[0].parts))
+        ordered = sorted(self.coeffs.items(), key=lambda kv: (kv[0].weight, kv[0]))
         return {
             "degree": self.degree,
             "coeffs": [

@@ -98,7 +98,7 @@ def cmd_vertices(args) -> dict:
 def cmd_maxface(args) -> dict:
     p = _parse_point(args.point[0])
     y = _parse_functional(args.functional, p)
-    if set(y) != set(p.ground.labels):
+    if set(y) != set(p.ground):
         raise SchemaError("functional: must be defined on exactly the point's labels")
     return {"vertices": _points_sorted(max_face_vertices(p, y))}
 
@@ -133,7 +133,7 @@ def cmd_coproduct(args) -> dict:
     terms = coproduct(inject(alpha))
     ordered = sorted(
         terms.coeffs.items(),
-        key=lambda kv: (kv[0][0].degree, tuple(a.parts for a in kv[0][0]), tuple(a.parts for a in kv[0][1])),
+        key=lambda kv: (kv[0][0].degree, kv[0]),
     )
     return {
         "terms": [

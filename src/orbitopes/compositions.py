@@ -4,56 +4,42 @@ A composition is a finite sequence of positive integers (possibly empty).
 Compositions index the normal equivalence classes of orbit polytopes, and
 the two joining operations ``concat`` and ``near_concat`` are the two ways
 a composition can be cut in half at a given weight.
+
+``Composition`` is a validated ``tuple`` subclass: it compares, orders and
+hashes exactly as the tuple of its parts.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
-class Composition:
-    """Immutable sequence of positive integers; the empty composition is allowed."""
+class Composition(tuple):
+    """Immutable tuple of positive integers; the empty composition is allowed.
 
-    __slots__ = ("parts",)
+    Equality, order and hashing are the tuple's: ``Composition((1, 2)) == (1, 2)``.
+    """
 
-    def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
-        if any(p < 1 for p in parts):
-            raise ValueError(f"composition parts must be positive, got {parts}")
-        object.__setattr__(self, "parts", parts)
+    __slots__ = ()
+
+    def __new__(cls, parts: Iterable[int] = ()):
+        self = tuple.__new__(cls, map(int, parts))
+        if min(self, default=1) < 1:
+            raise ValueError(f"composition parts must be positive, got {tuple(self)}")
+        return self
+
+    @property
+    def parts(self) -> "Composition":
+        return self
 
     @property
     def weight(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __bool__(self) -> bool:
-        return bool(self.parts)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Composition) and self.parts == other.parts
-
-    def __lt__(self, other: "Composition") -> bool:
-        return self.parts < other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
+        return sum(self)
 
     def __repr__(self) -> str:
-        return f"Composition{self.parts}"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Composition is immutable")
+        return f"Composition{tuple(self)}"
 
 
 EMPTY = Composition()
@@ -62,19 +48,19 @@ ONE = Composition((1,))
 
 def is_generator(alpha: Composition) -> bool:
     """(1) and every composition of two or more parts; (n) for n >= 2 is a power of (1)."""
-    return len(alpha) >= 2 or alpha.parts == (1,)
+    return len(alpha) >= 2 or alpha == (1,)
 
 
 def concat(beta: Composition, gamma: Composition) -> Composition:
     """Join two compositions end to end."""
-    return Composition(beta.parts + gamma.parts)
+    return Composition(beta + gamma)
 
 
 def near_concat(beta: Composition, gamma: Composition) -> Composition:
     """Join two nonempty compositions, merging the boundary parts into one."""
     if not beta or not gamma:
         raise ValueError("near-concatenation requires nonempty operands")
-    return Composition(beta.parts[:-1] + (beta.parts[-1] + gamma.parts[0],) + gamma.parts[1:])
+    return Composition(beta[:-1] + (beta[-1] + gamma[0],) + gamma[1:])
 
 
 @lru_cache(maxsize=None)
@@ -86,10 +72,7 @@ def splits(alpha: Composition) -> tuple[tuple[Composition, Composition], ...]:
     ``alpha``.  A cut that lands between two parts is a concatenation; a
     cut through the interior of a part is a near-concatenation.
     """
-    out = []
-    for i in range(alpha.weight + 1):
-        out.append(restrict_contract(alpha, i))
-    return tuple(out)
+    return tuple(restrict_contract(alpha, i) for i in range(alpha.weight + 1))
 
 
 @lru_cache(maxsize=None)
@@ -98,13 +81,13 @@ def restrict_contract(alpha: Composition, i: int) -> tuple[Composition, Composit
     if not 0 <= i <= alpha.weight:
         raise ValueError(f"cut weight {i} out of range for {alpha}")
     acc = 0
-    for j, part in enumerate(alpha.parts):
+    for j, part in enumerate(alpha):
         if acc == i:
-            return Composition(alpha.parts[:j]), Composition(alpha.parts[j:])
+            return Composition(alpha[:j]), Composition(alpha[j:])
         if acc + part > i:
             # the cut falls inside part j, splitting it in two
-            left = alpha.parts[:j] + (i - acc,)
-            right = (acc + part - i,) + alpha.parts[j + 1:]
+            left = alpha[:j] + (i - acc,)
+            right = (acc + part - i,) + alpha[j + 1:]
             return Composition(left), Composition(right)
         acc += part
     return alpha, EMPTY
@@ -133,7 +116,7 @@ def refinements(alpha: Composition) -> list[Composition]:
     if not alpha:
         return [EMPTY]
     out = [EMPTY]
-    for part in alpha.parts:
+    for part in alpha:
         out = [concat(prefix, piece) for prefix in out for piece in compositions_of(part)]
     return out
 
@@ -148,7 +131,7 @@ def compositions_of(n: int) -> tuple[Composition, ...]:
     out = []
     for first in range(1, n + 1):
         for rest in compositions_of(n - first):
-            out.append(Composition((first,) + rest.parts))
+            out.append(Composition((first,) + rest))
     return tuple(out)  # lexicographic by construction
 
 
@@ -157,6 +140,6 @@ def multinomial(n: int, gamma: Composition) -> int:
     if gamma.weight != n:
         raise ValueError(f"{gamma} is not a composition of {n}")
     result = math.factorial(n)
-    for part in gamma.parts:
+    for part in gamma:
         result //= math.factorial(part)
     return result

@@ -8,6 +8,9 @@ chamber of points weakly decreasing along that order is the reference
 chamber, and the composition of a point reads off the run lengths of its
 sorted coordinate multiset.
 
+``GroundSet`` and ``OrderedSetPartition`` are validated ``tuple`` subclasses
+(of labels and of label frozensets): they compare, order and hash as tuples.
+
 Brute-force operations (vertex enumeration over all chambers, base
 polytope verification) are guarded by a ground-set size bound, default
 ``DEFAULT_BOUND`` and overridable through the ``ORBITOPE_MAX_N``
@@ -17,13 +20,11 @@ environment variable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, permutations, product
-from math import factorial
 from typing import Iterable, Mapping
 
-from .compositions import Composition
+from .compositions import Composition, multinomial
 from .enumeration import distinct_permutations, subsets
 from .jsonio import frac_from_str, frac_to_str
 
@@ -41,34 +42,28 @@ def _check_bound(n: int, bound: int | None, default: int = DEFAULT_BOUND):
         raise ValueError(f"brute-force bound exceeded: ground set of size {n} > {limit}")
 
 
-@dataclass(frozen=True)
-class GroundSet:
-    """Finite ordered sequence of distinct labels; the order is the reference order."""
+class GroundSet(tuple):
+    """Finite ordered tuple of distinct string labels; the order is the reference order."""
 
-    labels: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"ground-set labels must be distinct: {labels}")
-        object.__setattr__(self, "labels", labels)
+    def __new__(cls, labels: Iterable[str]):
+        self = tuple.__new__(cls, map(str, labels))
+        if len(set(self)) != len(self):
+            raise ValueError(f"ground-set labels must be distinct: {tuple(self)}")
+        return self
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __iter__(self):
-        return iter(self.labels)
-
-    def __contains__(self, label) -> bool:
-        return label in self.labels
+    @property
+    def labels(self) -> "GroundSet":
+        return self
 
     def restricted(self, keep: Iterable[str]) -> "GroundSet":
         """Sub-ground-set of the given labels, preserving the reference order."""
         keep = set(keep)
-        missing = keep - set(self.labels)
+        missing = keep - set(self)
         if missing:
             raise ValueError(f"labels {sorted(missing)} not in ground set")
-        return GroundSet(tuple(l for l in self.labels if l in keep))
+        return GroundSet(l for l in self if l in keep)
 
 
 def standard_ground(n: int) -> GroundSet:
@@ -82,21 +77,20 @@ class Point:
     __slots__ = ("ground", "values")
 
     def __init__(self, ground: GroundSet, coords: Mapping[str, Fraction]):
-        if set(coords) != set(ground.labels):
+        if set(coords) != set(ground):
             raise ValueError("coordinates must be given for exactly the ground-set labels")
         self.ground = ground
-        self.values = tuple(Fraction(coords[l]) for l in ground.labels)
+        self.values = tuple(Fraction(coords[l]) for l in ground)
 
     @classmethod
     def from_values(cls, ground: GroundSet, values: Iterable[Fraction]) -> "Point":
-        values = tuple(values)
-        return cls(ground, dict(zip(ground.labels, values)))
+        return cls(ground, dict(zip(ground, values)))
 
     def __getitem__(self, label: str) -> Fraction:
-        return self.values[self.ground.labels.index(label)]
+        return self.values[self.ground.index(label)]
 
     def coords(self) -> dict[str, Fraction]:
-        return dict(zip(self.ground.labels, self.values))
+        return dict(zip(self.ground, self.values))
 
     def __eq__(self, other) -> bool:
         return (
@@ -109,11 +103,11 @@ class Point:
         return hash((self.ground, self.values))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{l}={v}" for l, v in zip(self.ground.labels, self.values))
+        inner = ", ".join(f"{l}={v}" for l, v in zip(self.ground, self.values))
         return f"Point({inner})"
 
     def to_json(self) -> dict[str, str]:
-        return {l: frac_to_str(v) for l, v in zip(self.ground.labels, self.values)}
+        return {l: frac_to_str(v) for l, v in zip(self.ground, self.values)}
 
     @classmethod
     def from_json(cls, data, ground: GroundSet | None = None) -> "Point":
@@ -121,34 +115,29 @@ class Point:
             raise ValueError(f"a point must be a JSON object, got {data!r}")
         coords = {str(k): frac_from_str(v) for k, v in data.items()}
         if ground is None:
-            ground = GroundSet(tuple(data.keys()))
+            ground = GroundSet(data)
         return cls(ground, coords)
 
 
-@dataclass(frozen=True)
-class OrderedSetPartition:
-    """Sequence of disjoint nonempty label sets covering a ground set."""
+class OrderedSetPartition(tuple):
+    """Tuple of disjoint nonempty label sets (frozensets) covering a ground set."""
 
-    blocks: tuple[frozenset, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        blocks = tuple(frozenset(b) for b in self.blocks)
-        if any(not b for b in blocks):
+    def __new__(cls, blocks: Iterable[Iterable[str]]):
+        self = tuple.__new__(cls, map(frozenset, blocks))
+        if any(not b for b in self):
             raise ValueError("blocks must be nonempty")
-        total = sum(len(b) for b in blocks)
-        union = set().union(*blocks) if blocks else set()
-        if len(union) != total:
+        if len(self.support()) != sum(map(len, self)):
             raise ValueError("blocks must be pairwise disjoint")
-        object.__setattr__(self, "blocks", blocks)
+        return self
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
+    @property
+    def blocks(self) -> "OrderedSetPartition":
+        return self
 
     def support(self) -> frozenset:
-        return frozenset().union(*self.blocks) if self.blocks else frozenset()
+        return frozenset().union(*self)
 
 
 class SubmodularOracle:
@@ -156,7 +145,7 @@ class SubmodularOracle:
 
     def __init__(self, ground: GroundSet, values: Mapping[frozenset, Fraction]):
         values = {frozenset(k): Fraction(v) for k, v in values.items()}
-        expected = {frozenset(s) for s in subsets(ground.labels)}
+        expected = {frozenset(s) for s in subsets(ground)}
         if set(values) != expected:
             raise ValueError("values must be given for every subset of the ground set")
         if values[frozenset()] != 0:
@@ -206,7 +195,7 @@ def orbit_vertices(p: Point, bound: int | None = None) -> set[Point]:
 def level_partition(y: Mapping[str, Fraction], ground: GroundSet) -> OrderedSetPartition:
     """Level sets of the functional y, ordered by decreasing value."""
     levels: dict[Fraction, set[str]] = {}
-    for label in ground.labels:
+    for label in ground:
         levels.setdefault(Fraction(y[label]), set()).add(label)
     blocks = tuple(frozenset(levels[v]) for v in sorted(levels, reverse=True))
     return OrderedSetPartition(blocks)
@@ -219,7 +208,7 @@ def max_face_vertices(p: Point, y: Mapping[str, Fraction]) -> set[Point]:
     S_1 of y, the next largest in S_2, and so on, in every arrangement
     within each level set.
     """
-    if set(y) != set(p.ground.labels):
+    if set(y) != set(p.ground):
         raise ValueError("functional must be defined on exactly the ground-set labels")
     partition = level_partition(y, p.ground)
     values = sorted_values(p)
@@ -246,7 +235,7 @@ def submodular_of_orbit(p: Point) -> SubmodularOracle:
     prefix = [Fraction(0)]
     for v in values:
         prefix.append(prefix[-1] + v)
-    table = {frozenset(S): prefix[len(S)] for S in subsets(p.ground.labels)}
+    table = {frozenset(S): prefix[len(S)] for S in subsets(p.ground)}
     return SubmodularOracle(p.ground, table)
 
 
@@ -294,7 +283,7 @@ def chamber_census(p: Point, bound: int | None = None) -> dict[tuple[str, ...], 
     _check_bound(n, bound)
     values = sorted_values(p)
     census = {}
-    for order in permutations(p.ground.labels):
+    for order in permutations(p.ground):
         census[order] = Point(p.ground, dict(zip(order, values)))
     return census
 
@@ -313,12 +302,12 @@ def face_decomposition(p: Point, S: Iterable[str]) -> tuple[Point, Point]:
     coordinates of p, and q' lives on the complement with the rest.
     """
     S = set(S)
-    missing = S - set(p.ground.labels)
+    missing = S - set(p.ground)
     if missing:
         raise ValueError(f"labels {sorted(missing)} not in ground set")
     values = sorted_values(p)
     ground_s = p.ground.restricted(S)
-    ground_t = p.ground.restricted(set(p.ground.labels) - S)
+    ground_t = p.ground.restricted(set(p.ground) - S)
     q = Point.from_values(ground_s, values[:len(S)])
     q_prime = Point.from_values(ground_t, values[len(S):])
     return q, q_prime
@@ -330,15 +319,11 @@ def representative_point(alpha: Composition, ground: GroundSet) -> Point:
     if n != len(ground):
         raise ValueError(f"|{alpha}| = {n} does not match ground set of size {len(ground)}")
     values = []
-    for j, part in enumerate(alpha.parts):
+    for j, part in enumerate(alpha):
         values.extend([Fraction(n - 1 - j)] * part)
     return Point.from_values(ground, values)
 
 
 def vertex_count(p: Point) -> int:
     """n! / prod(m_i!) for the multiplicities m_i of the coordinate multiset."""
-    comp = composition_of_point(p)
-    count = factorial(len(p.ground))
-    for part in comp.parts:
-        count //= factorial(part)
-    return count
+    return multinomial(len(p.ground), composition_of_point(p))

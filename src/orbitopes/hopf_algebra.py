@@ -26,42 +26,34 @@ from .compositions import ONE, Composition, compositions_of, is_generator, split
 from .jsonio import composition_from_json, composition_to_json, frac_from_str, frac_to_str
 
 
-class GeneratorMultiset:
-    """Sorted multiset of generator compositions; the algebra's basis."""
+class GeneratorMultiset(tuple):
+    """Sorted tuple of generator compositions; the algebra's basis.
 
-    __slots__ = ("members",)
+    Equality, order and hashing are the tuple's, so ``EMPTY_MULTISET == ()``.
+    """
 
-    def __init__(self, members: Iterable[Composition] = ()):
-        members = tuple(sorted(members, key=lambda c: c.parts))
-        for alpha in members:
+    __slots__ = ()
+
+    def __new__(cls, members: Iterable[Composition] = ()):
+        self = tuple.__new__(cls, sorted(members))
+        for alpha in self:
             if not is_generator(alpha):
                 raise ValueError(f"{alpha} is not a generator (one part, weight >= 2)")
-        object.__setattr__(self, "members", members)
+        return self
+
+    @property
+    def members(self) -> "GeneratorMultiset":
+        return self
 
     @property
     def degree(self) -> int:
-        return sum(alpha.weight for alpha in self.members)
+        return sum(alpha.weight for alpha in self)
 
     def union(self, other: "GeneratorMultiset") -> "GeneratorMultiset":
-        return GeneratorMultiset(self.members + other.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GeneratorMultiset) and self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash(self.members)
+        return GeneratorMultiset(self + other)
 
     def __repr__(self) -> str:
-        return "{" + ", ".join(str(tuple(a.parts)) for a in self.members) + "}"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeneratorMultiset is immutable")
+        return "{" + ", ".join(str(tuple(a)) for a in self) + "}"
 
 
 EMPTY_MULTISET = GeneratorMultiset()
@@ -117,11 +109,11 @@ class HopfElement:
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
-        terms = sorted(self.coeffs.items(), key=lambda kv: (kv[0].degree, kv[0].members))
+        terms = sorted(self.coeffs.items(), key=lambda kv: (kv[0].degree, kv[0]))
         return " + ".join(f"{v}*{k}" for k, v in terms)
 
     def to_json(self) -> list:
-        ordered = sorted(self.coeffs.items(), key=lambda kv: (kv[0].degree, kv[0].members))
+        ordered = sorted(self.coeffs.items(), key=lambda kv: (kv[0].degree, kv[0]))
         return [
             {"coeff": frac_to_str(v), "multiset": [composition_to_json(a) for a in k]}
             for k, v in ordered
@@ -318,4 +310,4 @@ def generator_multisets(max_degree: int) -> list[GeneratorMultiset]:
                 extend(prefix + [alpha], i, remaining - alpha.weight)
 
     extend([], 0, max_degree)
-    return sorted(out, key=lambda gm: (gm.degree, tuple(a.parts for a in gm)))
+    return sorted(out, key=lambda gm: (gm.degree, gm))

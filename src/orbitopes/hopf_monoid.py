@@ -14,7 +14,6 @@ its overlap with the subset.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping
 
@@ -66,7 +65,7 @@ class OrbitClassElement:
 
     def __repr__(self) -> str:
         parts = sorted(self.blocks, key=lambda b: min(b[0]))
-        inner = " * ".join(f"O{tuple(c.parts)}@{{{','.join(sorted(b))}}}" for b, c in parts)
+        inner = " * ".join(f"O{tuple(c)}@{{{','.join(sorted(b))}}}" for b, c in parts)
         return inner if inner else "O()@{}"
 
     def is_unit(self) -> bool:
@@ -169,7 +168,6 @@ def delta_iterated(x: OrbitClassElement, parts) -> list[OrbitClassElement]:
     return factors
 
 
-@lru_cache(maxsize=None)
 def _generator_count(m: int) -> int:
     # compositions of m usable on an m-label block: (1) for m = 1, >= 2 parts otherwise
     if m == 1:

@@ -37,7 +37,7 @@ def frac_from_str(s) -> Fraction:
 
 
 def composition_to_json(alpha: Composition) -> list[int]:
-    return list(alpha.parts)
+    return list(alpha)
 
 
 def composition_from_json(data) -> Composition:

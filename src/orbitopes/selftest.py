@@ -14,6 +14,7 @@ from .characters import Character, char_to_series, convolve, in_group_G
 from .compositions import compositions_of, concat, is_generator, near_concat, splits
 from .geometry import (
     Point,
+    brute_force_bound,
     chamber_census,
     check_base_polytope,
     composition_of_point,
@@ -95,13 +96,13 @@ def suite_delta_geometry(max_n: int) -> tuple[int, int]:
     for n in range(max_n + 1):
         ground = standard_ground(n)
         for alpha in compositions_of(n):
-            x = class_of(alpha, ground.labels)
+            x = class_of(alpha, ground)
             p = representative_point(alpha, ground)
-            for S in subsets(ground.labels):
+            for S in subsets(ground):
                 left, right = delta(x, S)
                 q, q_prime = face_decomposition(p, S)
                 ok = left == class_of(composition_of_point(q), S) and right == class_of(
-                    composition_of_point(q_prime), set(ground.labels) - set(S)
+                    composition_of_point(q_prime), set(ground) - set(S)
                 )
                 passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
     return passed, failed
@@ -215,7 +216,14 @@ def suite_characters(count: int, degree: int) -> tuple[int, int]:
 
 
 def run_selftest(max_n: int = 5) -> dict:
-    """Run every suite; sizes scale down from ``max_n`` where a suite is costly."""
+    """Run every suite; sizes scale down from ``max_n`` where a suite is costly.
+
+    ``max_n`` must lie in 1..brute_force_bound(): the splits suite walks
+    every composition of each n up to it.
+    """
+    bound = brute_force_bound()
+    if not 1 <= max_n <= bound:
+        raise ValueError(f"selftest max_n must be in the range 1..{bound}, got {max_n}")
     small = min(max_n, 5)
     suites = {
         "splits_reassembly": suite_splits(max_n),

@@ -236,6 +236,11 @@ def test_malformed_json_is_exit_2(tmp_path, capsys):
     code, out, err = invoke(capsys, "convolve", "--char", empty, "--char", empty, "--degree", "-3")
     assert code == 2 and out == "" and "nonnegative integer" in err
 
+    twice = write("twice.json", {"degree": 4, "values": [
+        {"composition": [1, 1], "value": "1"}, {"composition": [1, 1], "value": "5"}]})
+    code, out, err = invoke(capsys, "convolve", "--char", twice, "--char", twice)
+    assert code == 2 and out == "" and "composition [1, 1] is given twice" in err
+
     for value in ["2/4", "1.5", " 3 ", "1e2000000", "+3", "3/-1"]:
         point = json.dumps({"a": value, "b": "1"})
         code, out, err = invoke(capsys, "classify", "--point", point)
@@ -254,3 +259,11 @@ def test_selftest_cli(capsys):
     assert data["failed"] == 0
     assert data["passed"] > 0
     assert all(s["failed"] == 0 for s in data["suites"].values())
+
+
+@pytest.mark.parametrize("max_n", ["0", "-3", "9"])
+def test_selftest_max_n_range(capsys, monkeypatch, max_n):
+    monkeypatch.delenv("ORBITOPE_MAX_N", raising=False)
+    code, out, err = invoke(capsys, "selftest", "--max-n", max_n)
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"error": f"selftest max_n must be in the range 1..8, got {max_n}"}

@@ -1,0 +1,35 @@
+"""Smoke tests: the scripts under scripts/ run against the library and agree with it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *argv):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+
+
+def test_chi_table_check():
+    proc = run_script("chi_table.py", "--n", "4", "--check")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    assert len(rows) == 8  # one row per composition of 4
+    assert "MISMATCH" not in proc.stdout
+    assert all(row.endswith("[ok]") for row in rows)
+    assert rows[0].split()[0] == "(1," and rows[-1].split()[0] == "(4,)"
+
+
+def test_species_counts_match_the_expansion():
+    proc = run_script("species_counts.py", "--max-n", "10")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["n", "count", "egf", "coeff", "match"]
+    assert [int(row.split()[0]) for row in rows] == list(range(11))
+    assert all(row.split()[-1] == "ok" for row in rows)

@@ -1,0 +1,94 @@
+"""The contract of the four value types: immutable, validated, hashable by value."""
+
+import pytest
+
+from orbitopes.compositions import EMPTY, Composition
+from orbitopes.geometry import GroundSet, OrderedSetPartition
+from orbitopes.hopf_algebra import EMPTY_MULTISET, GeneratorMultiset
+
+C = Composition
+GM = GeneratorMultiset
+
+SAMPLES = [
+    (C((1, 2)), "parts"),
+    (GM([C((2, 1)), C((1,))]), "members"),
+    (GroundSet(("b", "a", "c")), "labels"),
+    (OrderedSetPartition((frozenset("ab"), frozenset("c"))), "blocks"),
+]
+
+
+@pytest.mark.parametrize("value, field", SAMPLES)
+def test_attribute_assignment_raises(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, ())
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_validation_errors_are_unchanged():
+    with pytest.raises(ValueError, match=r"^composition parts must be positive, got \(1, 0\)$"):
+        C((1, 0))
+    with pytest.raises(ValueError, match=r"^Composition\(2,\) is not a generator \(one part, weight >= 2\)$"):
+        GM([C((1,)), C((2,))])
+    with pytest.raises(ValueError, match=r"^ground-set labels must be distinct: \('a', 'a'\)$"):
+        GroundSet(("a", "a"))
+    with pytest.raises(ValueError, match="^blocks must be nonempty$"):
+        OrderedSetPartition((frozenset("a"), frozenset()))
+    with pytest.raises(ValueError, match="^blocks must be pairwise disjoint$"):
+        OrderedSetPartition((frozenset("ab"), frozenset("b")))
+
+
+def test_items_are_coerced():
+    assert tuple(C(["1", 2.0])) == (1, 2)
+    assert tuple(GroundSet([1, 2])) == ("1", "2")
+    assert tuple(OrderedSetPartition([{"a"}, ["b", "c"]])) == (frozenset("a"), frozenset("bc"))
+
+
+def test_equal_values_hash_equal():
+    pairs = [
+        (C((1, 2)), C([1, 2])),
+        (GM([C((2, 1)), C((1,))]), GM([C((1,)), C((2, 1))])),
+        (GroundSet(("b", "a")), GroundSet(["b", "a"])),
+        (OrderedSetPartition([{"a", "b"}, {"c"}]), OrderedSetPartition((frozenset("ba"), frozenset("c")))),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+        assert len({x: 0, y: 1}) == 1
+    assert C((1, 2)) != C((2, 1))
+    assert GroundSet(("a", "b")) != GroundSet(("b", "a"))
+
+
+def test_generator_multiset_members_come_out_sorted():
+    gm = GM([C((2, 1)), C((1, 1)), C((1,)), C((1, 1))])
+    assert list(gm) == [C((1,)), C((1, 1)), C((1, 1)), C((2, 1))]
+    assert gm.degree == 8
+    assert list(gm.union(GM([C((1, 2))]))) == [C((1,)), C((1, 1)), C((1, 1)), C((1, 2)), C((2, 1))]
+
+
+def test_named_fields_yield_the_items():
+    assert tuple(C((1, 2)).parts) == (1, 2)
+    assert list(GM([C((2, 1)), C((1,))]).members) == [C((1,)), C((2, 1))]
+    assert tuple(GroundSet(("b", "a", "c")).labels) == ("b", "a", "c")
+    assert tuple(OrderedSetPartition((frozenset("ab"), frozenset("c"))).blocks) == (
+        frozenset("ab"), frozenset("c"))
+    assert OrderedSetPartition((frozenset("ab"), frozenset("c"))).support() == frozenset("abc")
+    assert tuple(GroundSet(("b", "a", "c")).restricted({"c", "b"})) == ("b", "c")
+
+
+def test_reprs_are_unchanged():
+    assert repr(C((1, 2))) == "Composition(1, 2)"
+    assert repr(C((3,))) == "Composition(3,)"
+    assert repr(EMPTY) == "Composition()"
+    assert repr(GM([C((2, 1)), C((1,))])) == "{(1,), (2, 1)}"
+    assert repr(EMPTY_MULTISET) == "{}"
+
+
+def test_value_types_are_slotted_tuples():
+    inherited = {"__init__", "__setattr__", "__len__", "__iter__", "__getitem__", "__bool__",
+                 "__eq__", "__lt__", "__hash__", "__contains__"}
+    for cls in (Composition, GeneratorMultiset, GroundSet, OrderedSetPartition):
+        assert issubclass(cls, tuple) and cls.__slots__ == ()
+        assert not inherited & vars(cls).keys(), cls
+    # deliberate: equality and hashing are the tuple's
+    assert C((1, 2)) == (1, 2) and hash(C((1, 2))) == hash((1, 2))
+    assert EMPTY == EMPTY_MULTISET == ()
