@@ -29,19 +29,32 @@ from .geometry import (
     orbit_vertices,
 )
 from .hopf_algebra import HopfElement, antipode, coproduct, inject
+from .hopf_monoid import count_structures
 from .invariants import chi
 from .jsonio import composition_from_json, composition_to_json, frac_from_str, frac_to_str
 from .selftest import run_selftest
+
+
+# largest degree the graded-algebra and series subcommands accept: a composition's
+# weight, an element term's degree, a character's or series' truncation degree;
+# their work grows exponentially with it
+MAX_DEGREE = 12
 
 
 class SchemaError(Exception):
     """Malformed payload; maps to exit code 2."""
 
 
+def _check_degree_bound(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree bound exceeded: {degree} > {MAX_DEGREE}")
+
+
 def _parse_json(text: str, what: str):
+    # ValueError covers integers past the digit limit; RecursionError, nesting too deep
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{what}: invalid JSON ({exc})") from exc
 
 
@@ -72,13 +85,13 @@ def _parse_functional(text: str, point: Point) -> dict:
 
 
 def _load_json_file(path: str, what: str):
+    # ValueError: a NUL in the path or bytes that are not UTF-8
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:
         raise SchemaError(f"{what}: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{what}: invalid JSON in {path} ({exc})") from exc
+    return _parse_json(text, f"{what} {path}")
 
 
 def _points_sorted(points) -> list[dict]:
@@ -130,6 +143,7 @@ def cmd_delta(args) -> dict:
 
 def cmd_coproduct(args) -> dict:
     alpha = _parse_composition(args.composition)
+    _check_degree_bound(alpha.weight)
     terms = coproduct(inject(alpha))
     ordered = sorted(
         terms.coeffs.items(),
@@ -153,6 +167,7 @@ def cmd_antipode(args) -> dict:
         x = HopfElement.from_json(data)
     except ValueError as exc:
         raise SchemaError(f"element: {exc}") from exc
+    _check_degree_bound(max((gm.degree for gm in x.coeffs), default=0))
     return {"element": antipode(x).to_json()}
 
 
@@ -169,15 +184,18 @@ def cmd_convolve(args) -> dict:
         psi = Character.from_json(_load_json_file(args.char[1], "char"), degree=args.degree)
     except ValueError as exc:
         raise SchemaError(f"char: {exc}") from exc
+    _check_degree_bound(min(zeta.degree, psi.degree))
     result = convolve(zeta, psi)
     return {"character": result.to_json(), "series": char_to_series(result).to_json()}
 
 
 def _load_series(path: str) -> NSymSeries:
     try:
-        return NSymSeries.from_json(_load_json_file(path, "series"))
+        f = NSymSeries.from_json(_load_json_file(path, "series"))
     except ValueError as exc:
         raise SchemaError(f"series: {exc}") from exc
+    _check_degree_bound(f.degree)
+    return f
 
 
 def cmd_series_mul(args) -> dict:
@@ -194,8 +212,6 @@ def cmd_series_inv(args) -> dict:
 
 
 def cmd_count(args) -> dict:
-    from .hopf_monoid import count_structures
-
     return {"count": count_structures(args.n)}
 
 

@@ -12,9 +12,9 @@ sorted coordinate multiset.
 (of labels and of label frozensets): they compare, order and hash as tuples.
 
 Brute-force operations (vertex enumeration over all chambers, base
-polytope verification) are guarded by a ground-set size bound, default
-``DEFAULT_BOUND`` and overridable through the ``ORBITOPE_MAX_N``
-environment variable.
+polytope verification, and the labels a maximal face permutes) are
+guarded by a ground-set size bound, default ``DEFAULT_BOUND`` and
+overridable through the ``ORBITOPE_MAX_N`` environment variable.
 """
 
 from __future__ import annotations
@@ -211,6 +211,11 @@ def max_face_vertices(p: Point, y: Mapping[str, Fraction]) -> set[Point]:
     if set(y) != set(p.ground):
         raise ValueError("functional must be defined on exactly the ground-set labels")
     partition = level_partition(y, p.ground)
+    # only labels sharing a level set with others are permuted, as in orbit_vertices
+    tied = sum(len(block) for block in partition if len(block) > 1)
+    limit = brute_force_bound()
+    if tied > limit:
+        raise ValueError(f"brute-force bound exceeded: {tied} labels in tied level sets > {limit}")
     values = sorted_values(p)
     per_block: list[list[tuple[str, ...]]] = []
     block_labels: list[tuple[str, ...]] = []

@@ -14,7 +14,6 @@ its overlap with the subset.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Iterable, Mapping
 
 from .compositions import ONE, Composition, restrict_contract
@@ -168,25 +167,27 @@ def delta_iterated(x: OrbitClassElement, parts) -> list[OrbitClassElement]:
     return factors
 
 
-def _generator_count(m: int) -> int:
-    # compositions of m usable on an m-label block: (1) for m = 1, >= 2 parts otherwise
-    if m == 1:
-        return 1
-    return 2 ** (m - 1) - 1
-
-
-# _COUNTS[n] = count_structures(n), filled bottom-up so no call recurses
-_COUNTS = [1]
+# largest n ``count_structures`` accepts; the Stirling row costs about n^2 big-integer steps
+COUNT_MAX_N = 1000
 
 
 def count_structures(n: int) -> int:
-    """Number of elements over n labels: set partitions weighted by per-block class counts."""
+    """Number of elements over n labels: set partitions weighted by per-block class counts.
+
+    Closed form: n! [t^n] exp((e^t - 1)^2 / 2 + t) = sum over j of (2j - 1)!! S(n + 1, 2j + 1),
+    because e^t (e^t - 1)^m / m! generates the Stirling numbers S(n + 1, m + 1) and
+    exp(u^2 / 2) = sum over j of (2j - 1)!! u^(2j) / (2j)!.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    while len(_COUNTS) <= n:
-        m = len(_COUNTS)
-        # condition on the block containing the last label
-        _COUNTS.append(sum(
-            comb(m - 1, k - 1) * _generator_count(k) * _COUNTS[m - k] for k in range(1, m + 1)
-        ))
-    return _COUNTS[n]
+    if n > COUNT_MAX_N:
+        raise ValueError(f"count bound exceeded: n = {n} > {COUNT_MAX_N}")
+    row = [1]  # S(m, k) for k = 0..m, from m = 0 up to m = n + 1
+    for _ in range(n + 1):
+        # S(m, k) = k S(m - 1, k) + S(m - 1, k - 1)
+        row = [0] + [k * s + t for k, (s, t) in enumerate(zip(row[1:] + [0], row), start=1)]
+    total, double_factorial = 0, 1
+    for j in range(len(row) // 2):
+        total += double_factorial * row[2 * j + 1]
+        double_factorial *= 2 * j + 1
+    return total

@@ -1,7 +1,10 @@
 """The point-counting character and its polynomial invariant.
 
 ``chi`` expands the invariant of a composition class in the binomial
-basis via the refinement sum; ``chi_bruteforce`` recomputes it from first
+basis in closed form: refining a part a into j pieces contributes, summed
+over the refinements, the surjection number j! S(a, j), so the
+coefficients are the multinomial of the class times the convolution of
+one surjection row per part.  ``chi_bruteforce`` recomputes it from first
 principles by splitting the labeled class along every ordered set
 partition and reading off which splits land entirely on points.  The two
 must agree, and the test suite holds them to that.
@@ -10,15 +13,17 @@ must agree, and the test suite holds them to that.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, lcm
 from typing import Iterable, Mapping
 
-from .compositions import Composition, multinomial, refinements
+from .compositions import Composition, multinomial
 from .enumeration import ordered_set_partitions
 from .geometry import brute_force_bound
 from .hopf_monoid import OrbitClassElement, class_of, delta
 
 CHI_BOUND = 7
+# largest composition weight ``chi`` accepts; its cost and output grow as weight^2
+CHI_MAX_WEIGHT = 200
 
 
 class BinomialPolynomial:
@@ -86,24 +91,29 @@ class BinomialPolynomial:
 
 
 def to_monomial(p: BinomialPolynomial) -> list[Fraction]:
-    """Coefficients on 1, t, t^2, ... obtained by expanding each binom(t, k)."""
-    deg = p.degree
-    out = [Fraction(0)] * (deg + 1)
+    """Coefficients on 1, t, t^2, ... obtained by expanding each binom(t, k).
+
+    One pass over k keeps the integer falling factorial t(t-1)...(t-k+1) =
+    k! binom(t, k) and multiplies it by (t - k) for the next k.  The sum is
+    taken over one common denominator, so the inner loop is integer work.
+    """
+    denominator = 1
     for k, c in p.coeffs.items():
-        # binom(t, k) = (1/k!) * t(t-1)...(t-k+1); expand the falling factorial
-        poly = [Fraction(1)]
-        for i in range(k):
-            poly = [Fraction(0)] + poly
-            for j in range(len(poly) - 1):
-                poly[j] -= i * poly[j + 1]
-        denom = 1
-        for i in range(1, k + 1):
-            denom *= i
-        for j, cj in enumerate(poly):
-            out[j] += c * cj / denom
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+        denominator = lcm(denominator, c.denominator * factorial(k))
+    numerators = [0] * (p.degree + 1)
+    falling = [1]
+    for k in range(p.degree + 1):
+        if k:
+            falling = [0] + falling
+            for j in range(k):
+                falling[j] -= (k - 1) * falling[j + 1]
+        c = p.coeffs.get(k)
+        if c:
+            scale = c.numerator * (denominator // (c.denominator * factorial(k)))
+            for j, fj in enumerate(falling):
+                numerators[j] += scale * fj
+    # the top coefficient is c_d / d!, never 0, so nothing needs trimming
+    return [Fraction(v, denominator) for v in numerators]
 
 
 def from_monomial(coeffs: Iterable[Fraction]) -> BinomialPolynomial:
@@ -130,14 +140,35 @@ def basic_character(alpha: Composition) -> Fraction:
     return Fraction(1) if len(alpha) <= 1 else Fraction(0)
 
 
+def _surjection_row(a: int) -> list[int]:
+    """j! S(a, j) for j = 0..a: the surjections of a labels onto j ordered pieces."""
+    row = [1]
+    for _ in range(a):
+        # s(a, j) = j (s(a - 1, j) + s(a - 1, j - 1))
+        row = [0] + [j * (s + t) for j, (s, t) in enumerate(zip(row[1:] + [0], row), start=1)]
+    return row
+
+
 def chi(alpha: Composition) -> BinomialPolynomial:
-    """Refinement-sum form: sum of multinomial(gamma) * binom(t, parts(gamma))."""
+    """Sum of multinomial(gamma) * binom(t, parts(gamma)) over the refinements gamma.
+
+    Closed form: multinomial(alpha) times the convolution of the parts'
+    surjection rows, indexed by the total number of pieces.
+    """
     n = alpha.weight
-    out: dict[int, Fraction] = {}
-    for gamma in refinements(alpha):
-        k = len(gamma)
-        out[k] = out.get(k, Fraction(0)) + multinomial(n, gamma)
-    return BinomialPolynomial(out)
+    if n > CHI_MAX_WEIGHT:
+        raise ValueError(f"chi bound exceeded: weight {n} > {CHI_MAX_WEIGHT}")
+    coeffs = [1]
+    for part in alpha:
+        row = _surjection_row(part)
+        conv = [0] * (len(coeffs) + part)
+        for i, c in enumerate(coeffs):
+            if c:
+                for j, r in enumerate(row):
+                    conv[i + j] += c * r
+        coeffs = conv
+    scale = multinomial(n, alpha)
+    return BinomialPolynomial({k: scale * c for k, c in enumerate(coeffs) if c})
 
 
 def chi_element(x: OrbitClassElement) -> BinomialPolynomial:

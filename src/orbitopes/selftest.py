@@ -109,7 +109,7 @@ def suite_delta_geometry(max_n: int) -> tuple[int, int]:
 
 
 def suite_chi(max_n: int) -> tuple[int, int]:
-    """Refinement-sum invariant equals the ordered-set-partition recount."""
+    """Closed-form invariant (surjection rows) equals the ordered-set-partition recount."""
     passed = failed = 0
     for n in range(max_n + 1):
         for alpha in compositions_of(n):

@@ -6,8 +6,9 @@ direct exp-as-sum expansion, maximal faces from argmax over all
 vertices, polynomial identities from pointwise evaluation, the series
 product from every pair of coefficients, convolution values from the
 binomial cut formula on the characters themselves, the antipode from the
-degree recursion on whole multisets, and structure counts from Stirling
-numbers.
+degree recursion on whole multisets, the invariant chi from the sum over
+every refinement, and structure counts from the recurrence on the block
+holding the last label.
 """
 
 from fractions import Fraction
@@ -15,10 +16,19 @@ from functools import lru_cache
 from math import comb
 
 from orbitopes.characters import Character, NSymSeries, ribbon_mul
-from orbitopes.compositions import Composition, compositions_of, concat, near_concat, splits
+from orbitopes.compositions import (
+    Composition,
+    compositions_of,
+    concat,
+    multinomial,
+    near_concat,
+    refinements,
+    splits,
+)
 from orbitopes.enumeration import set_partitions
 from orbitopes.geometry import Point, orbit_vertices
 from orbitopes.hopf_algebra import GeneratorMultiset, HopfElement, coproduct, product
+from orbitopes.invariants import BinomialPolynomial
 
 
 def brute_force_splits(alpha):
@@ -156,17 +166,26 @@ def recursive_antipode(x: HopfElement) -> HopfElement:
     return acc
 
 
-def stirling_species_count(n: int) -> int:
-    """n! [t^n] exp((e^t - 1)^2 / 2 + t) = sum over j of (2j - 1)!! S(n + 1, 2j + 1).
+def refinement_chi(alpha: Composition) -> BinomialPolynomial:
+    """Sum of multinomial(gamma) * binom(t, parts(gamma)) over all 2^(n - l) refinements."""
+    n = alpha.weight
+    out: dict[int, Fraction] = {}
+    for gamma in refinements(alpha):
+        k = len(gamma)
+        out[k] = out.get(k, Fraction(0)) + multinomial(n, gamma)
+    return BinomialPolynomial(out)
 
-    e^t (e^t - 1)^m / m! generates the Stirling numbers S(n + 1, m + 1), and
-    exp(u^2 / 2) = sum over j of (2j - 1)!! u^(2j) / (2j)!.
-    """
-    row = [1]  # S(m, k) for k = 0..m, from m = 0 up to m = n + 1
-    for _ in range(n + 1):
-        row = [0] + [k * s + t for k, (s, t) in enumerate(zip(row[1:] + [0], row), start=1)]
-    total, double_factorial = 0, 1
-    for j in range(len(row) // 2):
-        total += double_factorial * row[2 * j + 1]
-        double_factorial *= 2 * j + 1
-    return total
+
+def recurrence_count(n: int) -> int:
+    """Structure count from the recurrence on the block holding the last label, bottom-up."""
+
+    def classes_on_block(m):
+        # (1) on one label, a composition with two or more parts otherwise
+        return 1 if m == 1 else 2 ** (m - 1) - 1
+
+    counts = [1]
+    for m in range(1, n + 1):
+        counts.append(sum(
+            comb(m - 1, k - 1) * classes_on_block(k) * counts[m - k] for k in range(1, m + 1)
+        ))
+    return counts[n]

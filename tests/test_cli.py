@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from orbitopes.cli import run
+from orbitopes.cli import MAX_DEGREE, run
 from orbitopes.characters import Character, NSymSeries, char_to_series, convolve, series_inverse, series_mul
 from orbitopes.compositions import Composition
 from orbitopes.hopf_algebra import HopfElement, antipode, inject
-from orbitopes.invariants import chi
-from oracles import stirling_species_count
+from orbitopes.hopf_monoid import COUNT_MAX_N
+from orbitopes.invariants import CHI_MAX_WEIGHT, chi
+from oracles import recurrence_count
 
 C = Composition
 
@@ -180,6 +181,79 @@ def test_count_cli(capsys):
     assert code == 0 and json.loads(out) == {"count": 29}
 
 
+def test_count_bound(capsys):
+    code, out, _ = invoke(capsys, "count", "--n", str(COUNT_MAX_N))
+    assert code == 0 and json.loads(out)["count"] > 0
+
+    code, out, err = invoke(capsys, "count", "--n", str(COUNT_MAX_N + 1))
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"error": f"count bound exceeded: n = {COUNT_MAX_N + 1} > {COUNT_MAX_N}"}
+
+
+def test_chi_bound(capsys):
+    code, out, _ = invoke(capsys, "chi", "--composition", json.dumps([CHI_MAX_WEIGHT]), "--monomial")
+    assert code == 0
+    assert json.loads(out)["monomial"] == ["0"] * CHI_MAX_WEIGHT + ["1"]
+
+    code, out, err = invoke(capsys, "chi", "--composition", json.dumps([1, CHI_MAX_WEIGHT]))
+    assert code == 1 and err == ""
+    assert json.loads(out) == {
+        "error": f"chi bound exceeded: weight {CHI_MAX_WEIGHT + 1} > {CHI_MAX_WEIGHT}"}
+
+
+def test_degree_bound(tmp_path, capsys):
+    message = {"error": f"degree bound exceeded: {MAX_DEGREE + 1} > {MAX_DEGREE}"}
+    code, out, _ = invoke(capsys, "coproduct", "--composition", json.dumps([1] * MAX_DEGREE))
+    assert code == 0 and len(json.loads(out)["terms"]) == MAX_DEGREE + 1
+    code, out, _ = invoke(capsys, "coproduct", "--composition", json.dumps([1] * (MAX_DEGREE + 1)))
+    assert code == 1 and json.loads(out) == message
+
+    element = [{"coeff": "1", "multiset": [[1, 1]] * (MAX_DEGREE // 2)}]
+    code, out, _ = invoke(capsys, "antipode", "--element", json.dumps(element))
+    assert code == 0
+    element[0]["multiset"].append([1])
+    code, out, _ = invoke(capsys, "antipode", "--element", json.dumps(element))
+    assert code == 1 and json.loads(out) == message
+
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps({"degree": MAX_DEGREE + 1, "coeffs": [{"composition": [], "coeff": "1"}]}))
+    code, out, _ = invoke(capsys, "series-inv", "--series", str(series))
+    assert code == 1 and json.loads(out) == message
+    char = tmp_path / "char.json"
+    char.write_text(json.dumps({"degree": MAX_DEGREE + 1, "values": []}))
+    code, out, _ = invoke(capsys, "convolve", "--char", str(char), "--char", str(char))
+    assert code == 1 and json.loads(out) == message
+    code, out, _ = invoke(capsys, "convolve", "--char", str(char), "--char", str(char), "--degree", "4")
+    assert code == 0 and json.loads(out)["character"]["degree"] == 4
+
+
+def test_maxface_size_bound(capsys, monkeypatch):
+    monkeypatch.delenv("ORBITOPE_MAX_N", raising=False)
+    point = json.dumps({str(i): str(i) for i in range(12)})
+    levels = [0] * 4 + [1] * 4 + [2, 3, 4, 5]  # two tied fours, eight tied labels
+    ranked = json.dumps({str(i): str(v) for i, v in enumerate(levels)})
+    code, out, _ = invoke(capsys, "maxface", "--point", point, "--functional", ranked)
+    assert code == 0 and len(json.loads(out)["vertices"]) == 24 ** 2
+
+    tied = json.dumps({str(i): str(max(i - 8, 0)) for i in range(12)})  # nine labels tied at 0
+    code, out, _ = invoke(capsys, "maxface", "--point", point, "--functional", tied)
+    assert code == 1
+    assert json.loads(out) == {"error": "brute-force bound exceeded: 9 labels in tied level sets > 8"}
+
+
+def test_deep_nesting_is_exit_2(tmp_path, capsys):
+    nested = "[" * 5000 + "]" * 5000
+    code, out, err = invoke(capsys, "chi", "--composition", nested)
+    assert code == 2 and out == "" and "invalid JSON" in err
+    path = tmp_path / "nested.json"
+    path.write_text(nested)
+    code, out, err = invoke(capsys, "series-inv", "--series", str(path))
+    assert code == 2 and out == "" and "invalid JSON" in err
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = invoke(capsys, "series-inv", "--series", str(path))
+    assert code == 2 and out == "" and "cannot read" in err
+
+
 def python_dash_m(*argv):
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run(
@@ -195,10 +269,9 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_count_600_in_a_fresh_process():
-    # a fresh interpreter starts with an empty table, so nothing is precomputed
     proc = python_dash_m("count", "--n", "600")
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
-    assert json.loads(proc.stdout) == {"count": stirling_species_count(600)}
+    assert json.loads(proc.stdout) == {"count": recurrence_count(600)}
 
 
 def test_malformed_json_is_exit_2(tmp_path, capsys):

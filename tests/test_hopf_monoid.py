@@ -12,6 +12,7 @@ from orbitopes.geometry import (
     standard_ground,
 )
 from orbitopes.hopf_monoid import (
+    COUNT_MAX_N,
     UNIT,
     OrbitClassElement,
     class_of,
@@ -21,7 +22,7 @@ from orbitopes.hopf_monoid import (
     mu,
     relabel,
 )
-from oracles import count_by_enumeration, stirling_species_count
+from oracles import count_by_enumeration, egf_counts_oracle, recurrence_count
 
 C = Composition
 
@@ -231,8 +232,18 @@ def test_count_structures_matches_direct_partition_sum():
 
 
 def test_count_structures_matches_stirling_closed_form():
-    for n in [600, 300, *range(21)]:
-        assert count_structures(n) == stirling_species_count(n), n
+    for n in [600, 300, *range(61)]:
+        assert count_structures(n) == recurrence_count(n), n
+
+
+def test_count_structures_matches_egf_expansion():
+    assert [count_structures(n) for n in range(31)] == egf_counts_oracle(30)
+
+
+def test_count_structures_bound():
+    assert count_structures(COUNT_MAX_N) > 0
+    with pytest.raises(ValueError, match=f"count bound exceeded: n = {COUNT_MAX_N + 1} > {COUNT_MAX_N}"):
+        count_structures(COUNT_MAX_N + 1)
 
 
 def test_element_json_roundtrip():

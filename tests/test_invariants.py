@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from orbitopes.compositions import Composition, compositions_of
 from orbitopes.hopf_monoid import class_of, mu
 from orbitopes.invariants import (
+    CHI_MAX_WEIGHT,
     BinomialPolynomial,
     basic_character,
     chi,
@@ -17,7 +18,7 @@ from orbitopes.invariants import (
     from_monomial,
     to_monomial,
 )
-from oracles import binom_frac, eval_monomial
+from oracles import binom_frac, eval_monomial, refinement_chi
 
 C = Composition
 F = Fraction
@@ -68,6 +69,34 @@ def test_chi_matches_bruteforce_exhaustively():
     for n in range(6):
         for alpha in compositions_of(n):
             assert chi(alpha) == chi_bruteforce(alpha)
+
+
+def test_chi_matches_refinement_sum():
+    for n in range(12):
+        for alpha in compositions_of(n):
+            assert chi(alpha) == refinement_chi(alpha), alpha
+
+
+def test_chi_bound():
+    assert to_monomial(chi(C((CHI_MAX_WEIGHT,)))) == [F(0)] * CHI_MAX_WEIGHT + [F(1)]
+    with pytest.raises(ValueError, match=f"chi bound exceeded: weight {CHI_MAX_WEIGHT + 1} > {CHI_MAX_WEIGHT}"):
+        chi(C((CHI_MAX_WEIGHT - 1, 2)))
+
+
+def test_to_monomial_of_chi_matches_pointwise_evaluation():
+    # a polynomial of degree d is fixed by its values at t = 0..d
+    rng = random.Random(5)
+    cases = [C((n,)) for n in (1, 12, 30)] + [C((1,) * 30), C((4, 4, 5, 5))]
+    for n in range(1, 31):
+        parts = sorted(rng.sample(range(1, n), rng.randint(0, min(n - 1, 5))))
+        cases.append(C(b - a for a, b in zip([0, *parts], [*parts, n])))
+    for alpha in cases:
+        p = chi(alpha)
+        mono = to_monomial(p)
+        assert len(mono) == alpha.weight + 1
+        for t in range(alpha.weight + 1):
+            expected = sum(c * binom_frac(t, k) for k, c in p.coeffs.items())
+            assert eval_monomial(mono, t) == expected, (alpha, t)
 
 
 def test_chi_multiplicative_over_products():
