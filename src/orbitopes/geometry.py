@@ -36,8 +36,8 @@ def brute_force_bound(default: int = DEFAULT_BOUND) -> int:
     return int(env) if env else default
 
 
-def _check_bound(n: int, bound: int | None, default: int = DEFAULT_BOUND):
-    limit = brute_force_bound(default) if bound is None else bound
+def _check_bound(n: int, default: int = DEFAULT_BOUND):
+    limit = brute_force_bound(default)
     if n > limit:
         raise ValueError(f"brute-force bound exceeded: ground set of size {n} > {limit}")
 
@@ -183,9 +183,9 @@ def composition_of_point(p: Point) -> Composition:
     return Composition(len(list(run)) for _, run in groupby(sorted_values(p)))
 
 
-def orbit_vertices(p: Point, bound: int | None = None) -> set[Point]:
+def orbit_vertices(p: Point) -> set[Point]:
     """All distinct coordinate rearrangements of p; these are the orbit polytope's vertices."""
-    _check_bound(len(p.ground), bound)
+    _check_bound(len(p.ground))
     return {
         Point.from_values(p.ground, arrangement)
         for arrangement in distinct_permutations(p.values)
@@ -244,7 +244,7 @@ def submodular_of_orbit(p: Point) -> SubmodularOracle:
     return SubmodularOracle(p.ground, table)
 
 
-def check_base_polytope(p: Point, bound: int | None = None) -> bool:
+def check_base_polytope(p: Point) -> bool:
     """Verify the half-space description against the vertex description.
 
     Every orbit vertex must satisfy sum(x) = z(I) and sum over S <= z(S)
@@ -253,7 +253,7 @@ def check_base_polytope(p: Point, bound: int | None = None) -> bool:
     the label positions, sharing one addition per (vertex, subset) pair.
     """
     n = len(p.ground)
-    vertices = orbit_vertices(p, bound)
+    vertices = orbit_vertices(p)
     values = sorted_values(p)
     prefix = [Fraction(0)]
     for v in values:
@@ -279,13 +279,13 @@ def check_base_polytope(p: Point, bound: int | None = None) -> bool:
     return True
 
 
-def chamber_census(p: Point, bound: int | None = None) -> dict[tuple[str, ...], Point]:
+def chamber_census(p: Point) -> dict[tuple[str, ...], Point]:
     """For each total order on the labels, the unique orbit vertex weakly sorted along it.
 
     An order (l_1, ..., l_n) stands for the closed chamber x_{l_1} >= ... >= x_{l_n}.
     """
     n = len(p.ground)
-    _check_bound(n, bound)
+    _check_bound(n)
     values = sorted_values(p)
     census = {}
     for order in permutations(p.ground):

@@ -224,9 +224,12 @@ def _coproduct_generator(alpha: Composition) -> TensorElement:
 
 @lru_cache(maxsize=None)
 def _coproduct_basis(gm: GeneratorMultiset) -> TensorElement:
-    out = TensorElement.unit(2)
+    # the k copies of (1) are the class of (k): one cut sum with k + 1 terms
+    ones = gm.count(ONE)
+    out = _coproduct_generator(Composition((ones,))) if ones else TensorElement.unit(2)
     for alpha in gm:
-        out = out * _coproduct_generator(alpha)
+        if alpha != ONE:
+            out = out * _coproduct_generator(alpha)
     return out
 
 

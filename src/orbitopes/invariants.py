@@ -13,12 +13,12 @@ must agree, and the test suite holds them to that.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from typing import Iterable, Mapping
 
 from .compositions import Composition, multinomial
 from .enumeration import ordered_set_partitions
-from .geometry import brute_force_bound
+from .geometry import _check_bound
 from .hopf_monoid import OrbitClassElement, class_of, delta
 
 CHI_BOUND = 7
@@ -117,21 +117,13 @@ def to_monomial(p: BinomialPolynomial) -> list[Fraction]:
 
 
 def from_monomial(coeffs: Iterable[Fraction]) -> BinomialPolynomial:
-    """Inverse basis change via forward differences at 0, 1, 2, ..."""
-    coeffs = [Fraction(c) for c in coeffs]
-
-    def value_at(t: int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * t + c
-        return acc
-
-    deg = len(coeffs) - 1
-    out = {}
-    for k in range(deg + 1):
-        ck = sum((-1) ** (k - j) * comb(k, j) * value_at(j) for j in range(k + 1))
-        if ck:
-            out[k] = ck
+    """Inverse basis change: t^m = sum over k of k! S(m, k) binom(t, k), a surjection row."""
+    out: dict[int, Fraction] = {}
+    for m, c in enumerate(coeffs):
+        c = Fraction(c)
+        if c:
+            for k, s in enumerate(_surjection_row(m)):
+                out[k] = out.get(k, 0) + c * s
     return BinomialPolynomial(out)
 
 
@@ -179,13 +171,13 @@ def chi_element(x: OrbitClassElement) -> BinomialPolynomial:
     return out
 
 
-def chi_bruteforce(alpha: Composition, bound: int | None = None) -> BinomialPolynomial:
+def chi_bruteforce(alpha: Composition) -> BinomialPolynomial:
     """First-principles invariant of a composition class on labels 1..n."""
     labels = tuple(str(i) for i in range(1, alpha.weight + 1))
-    return chi_bruteforce_element(class_of(alpha, labels), bound)
+    return chi_bruteforce_element(class_of(alpha, labels))
 
 
-def chi_bruteforce_element(x: OrbitClassElement, bound: int | None = None) -> BinomialPolynomial:
+def chi_bruteforce_element(x: OrbitClassElement) -> BinomialPolynomial:
     """Sum over ordered set partitions of the ground set, keeping all-point splits.
 
     Each ordered partition into k nonempty parts contributes the product
@@ -193,10 +185,7 @@ def chi_bruteforce_element(x: OrbitClassElement, bound: int | None = None) -> Bi
     split, as the coefficient of binom(t, k).  A factor kills its term as
     soon as it is not a product of points, so the fold short-circuits.
     """
-    n = len(x.ground)
-    limit = brute_force_bound(CHI_BOUND) if bound is None else bound
-    if n > limit:
-        raise ValueError(f"brute-force bound exceeded: ground set of size {n} > {limit}")
+    _check_bound(len(x.ground), CHI_BOUND)
     out: dict[int, Fraction] = {}
     for parts in ordered_set_partitions(sorted(x.ground)):
         rest = x

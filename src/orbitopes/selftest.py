@@ -1,14 +1,19 @@
 """Built-in oracle-equivalence suites, runnable from the CLI.
 
 Each suite pits a combinatorial formula against an independent geometric
-or enumerative computation and counts agreements.  Randomized suites use
-a fixed seed so runs are reproducible.
+or enumerative computation, yields one bool per case, and returns the
+(passed, failed) tally.  Randomized suites use a fixed seed so runs are
+reproducible.  The test suite asserts these same suites and draws its
+random points and characters from ``random_point`` and
+``random_character``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import wraps
+from typing import Callable, Iterator
 
 from .characters import Character, char_to_series, convolve, in_group_G
 from .compositions import compositions_of, concat, is_generator, near_concat, splits
@@ -19,6 +24,7 @@ from .geometry import (
     check_base_polytope,
     composition_of_point,
     face_decomposition,
+    normally_equivalent,
     orbit_vertices,
     representative_point,
     standard_ground,
@@ -60,13 +66,15 @@ def egf_counts(max_n: int) -> list[int]:
     return [int(expanded[k] * fact[k]) for k in range(n)]
 
 
-def _random_point(rng: random.Random, n: int) -> Point:
+def random_point(rng: random.Random, n: int) -> Point:
+    """A point on labels 1..n with coordinates p/q, p in -9..9 and q in 1..4."""
     ground = standard_ground(n)
     values = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
     return Point.from_values(ground, values)
 
 
-def _random_character(rng: random.Random, degree: int) -> Character:
+def random_character(rng: random.Random, degree: int) -> Character:
+    """A character with a value p/q, p in -6..6 and q in 1..3, on every generator."""
     values = {}
     for n in range(1, degree + 1):
         for alpha in compositions_of(n):
@@ -75,24 +83,33 @@ def _random_character(rng: random.Random, degree: int) -> Character:
     return Character(degree, values)
 
 
-def suite_splits(max_n: int) -> tuple[int, int]:
+def _tally(suite: Callable[..., Iterator[bool]]) -> Callable[..., tuple[int, int]]:
+    """Run a suite that yields one bool per case; return (passed, failed)."""
+
+    @wraps(suite)
+    def run(*args) -> tuple[int, int]:
+        oks = [bool(ok) for ok in suite(*args)]
+        return sum(oks), len(oks) - sum(oks)
+
+    return run
+
+
+@_tally
+def suite_splits(max_n: int) -> Iterator[bool]:
     """splits() entries reassemble to the source and are pairwise exclusive cuts."""
-    passed = failed = 0
     for n in range(max_n + 1):
         for alpha in compositions_of(n):
             for i, (beta, gamma) in enumerate(splits(alpha)):
                 ok = beta.weight == i
                 if beta and gamma:
-                    ok = ok and (concat(beta, gamma) == alpha) != (near_concat(beta, gamma) == alpha)
+                    yield ok and (concat(beta, gamma) == alpha) != (near_concat(beta, gamma) == alpha)
                 else:
-                    ok = ok and concat(beta, gamma) == alpha
-                passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
-    return passed, failed
+                    yield ok and concat(beta, gamma) == alpha
 
 
-def suite_delta_geometry(max_n: int) -> tuple[int, int]:
+@_tally
+def suite_delta_geometry(max_n: int) -> Iterator[bool]:
     """Composition-level splits match vertex-level face decompositions."""
-    passed = failed = 0
     for n in range(max_n + 1):
         ground = standard_ground(n)
         for alpha in compositions_of(n):
@@ -101,58 +118,49 @@ def suite_delta_geometry(max_n: int) -> tuple[int, int]:
             for S in subsets(ground):
                 left, right = delta(x, S)
                 q, q_prime = face_decomposition(p, S)
-                ok = left == class_of(composition_of_point(q), S) and right == class_of(
+                yield left == class_of(composition_of_point(q), S) and right == class_of(
                     composition_of_point(q_prime), set(ground) - set(S)
                 )
-                passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
-    return passed, failed
 
 
-def suite_chi(max_n: int) -> tuple[int, int]:
+@_tally
+def suite_chi(max_n: int) -> Iterator[bool]:
     """Closed-form invariant (surjection rows) equals the ordered-set-partition recount."""
-    passed = failed = 0
     for n in range(max_n + 1):
         for alpha in compositions_of(n):
-            ok = chi(alpha) == chi_bruteforce(alpha)
-            passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
-    return passed, failed
+            yield chi(alpha) == chi_bruteforce(alpha)
 
 
-def suite_normal_equivalence(max_n: int) -> tuple[int, int]:
-    """Equal compositions iff equal chamber-to-vertex partitions of the orbit."""
-    passed = failed = 0
+@_tally
+def suite_normal_equivalence(max_n: int) -> Iterator[bool]:
+    """normally_equivalent iff equal chamber-to-vertex partitions of the orbit."""
     for n in range(1, max_n + 1):
         ground = standard_ground(n)
         points = [representative_point(alpha, ground) for alpha in compositions_of(n)]
-        for p in points:
-            for q in points:
-                by_comp = composition_of_point(p) == composition_of_point(q)
-                by_fan = _chamber_fingerprint(p) == _chamber_fingerprint(q)
-                passed, failed = (passed + 1, failed) if by_comp == by_fan else (passed, failed + 1)
-    return passed, failed
+        prints = [_chamber_fingerprint(p) for p in points]
+        for p, p_print in zip(points, prints):
+            for q, q_print in zip(points, prints):
+                yield normally_equivalent(p, q) == (p_print == q_print)
 
 
 def _chamber_fingerprint(p: Point) -> frozenset:
     return frozenset(frozenset(orders) for orders in _group_census(chamber_census(p)).values())
 
 
-def suite_base_polytope(count: int, max_n: int) -> tuple[int, int]:
+@_tally
+def suite_base_polytope(count: int, max_n: int) -> Iterator[bool]:
     """Half-space description is valid and tight on random rational points."""
     rng = random.Random(SEED)
-    passed = failed = 0
     for _ in range(count):
-        p = _random_point(rng, rng.randint(1, max_n))
-        ok = check_base_polytope(p)
-        passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
-    return passed, failed
+        yield check_base_polytope(random_point(rng, rng.randint(1, max_n)))
 
 
-def suite_chamber_census(count: int, max_n: int) -> tuple[int, int]:
+@_tally
+def suite_chamber_census(count: int, max_n: int) -> Iterator[bool]:
     """Each chamber holds exactly one orbit vertex."""
     rng = random.Random(SEED + 1)
-    passed = failed = 0
     for _ in range(count):
-        p = _random_point(rng, rng.randint(1, max_n))
+        p = random_point(rng, rng.randint(1, max_n))
         census = chamber_census(p)
         vertices = orbit_vertices(p)
         ok = set(census.values()) == vertices
@@ -161,9 +169,7 @@ def suite_chamber_census(count: int, max_n: int) -> tuple[int, int]:
             ok = ok and all(a >= b for a, b in zip(vals, vals[1:]))
         # grouping the n! chambers by vertex partitions them with no overlap
         total = sum(len(orders) for orders in _group_census(census).values())
-        ok = ok and total == len(census)
-        passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
-    return passed, failed
+        yield ok and total == len(census)
 
 
 def _group_census(census) -> dict:
@@ -173,14 +179,12 @@ def _group_census(census) -> dict:
     return grouped
 
 
-def suite_species(max_n: int) -> tuple[int, int]:
+@_tally
+def suite_species(max_n: int) -> Iterator[bool]:
     """Structure counts match the generating-function expansion."""
     expected = egf_counts(max_n)
-    passed = failed = 0
     for n in range(max_n + 1):
-        ok = count_structures(n) == expected[n]
-        passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
-    return passed, failed
+        yield count_structures(n) == expected[n]
 
 
 def _on_multiset(zeta: Character, gm) -> Fraction:
@@ -190,7 +194,8 @@ def _on_multiset(zeta: Character, gm) -> Fraction:
     return value
 
 
-def suite_characters(count: int, degree: int) -> tuple[int, int]:
+@_tally
+def suite_characters(count: int, degree: int) -> Iterator[bool]:
     """Convolution matches its defining formula on the coproduct and lands in the group."""
     rng = random.Random(SEED + 2)
     coproducts = {
@@ -199,20 +204,17 @@ def suite_characters(count: int, degree: int) -> tuple[int, int]:
         for alpha in compositions_of(n)
     }
     multisets = {gm for terms in coproducts.values() for key in terms for gm in key}
-    passed = failed = 0
     for _ in range(count):
-        zeta = _random_character(rng, degree)
-        psi = _random_character(rng, degree)
+        zeta = random_character(rng, degree)
+        psi = random_character(rng, degree)
         conv = convolve(zeta, psi)
         on_zeta = {gm: _on_multiset(zeta, gm) for gm in multisets}
         on_psi = {gm: _on_multiset(psi, gm) for gm in multisets}
-        ok = in_group_G(char_to_series(conv)) and all(
+        yield in_group_G(char_to_series(conv)) and all(
             conv.on_composition(alpha)
             == sum(c * on_zeta[left] * on_psi[right] for (left, right), c in terms.items())
             for alpha, terms in coproducts.items()
         )
-        passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
-    return passed, failed
 
 
 def run_selftest(max_n: int = 5) -> dict:

@@ -1,9 +1,4 @@
-import sys
-from pathlib import Path
-
 from hypothesis import HealthCheck, settings
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 settings.register_profile(
     "default",

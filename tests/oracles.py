@@ -1,14 +1,15 @@
 """Independent oracles backing the frozen expected values.
 
 Nothing here reuses the code path it checks: splits are found by
-exhaustive pair search, generating-function coefficients come from a
-direct exp-as-sum expansion, maximal faces from argmax over all
-vertices, polynomial identities from pointwise evaluation, the series
-product from every pair of coefficients, convolution values from the
-binomial cut formula on the characters themselves, the antipode from the
-degree recursion on whole multisets, the invariant chi from the sum over
-every refinement, and structure counts from the recurrence on the block
-holding the last label.
+exhaustive pair search, maximal faces from argmax over all vertices,
+polynomial identities from pointwise evaluation, the series product from
+every pair of coefficients, convolution values from the binomial cut
+formula on the characters themselves, the antipode from the degree
+recursion on whole multisets, the invariant chi from the sum over every
+refinement, and structure counts from the recurrence on the block
+holding the last label.  The generating-function coefficients of the
+structure counts have one copy, ``orbitopes.selftest.egf_counts``, which
+the tests import.
 """
 
 from fractions import Fraction
@@ -43,37 +44,6 @@ def brute_force_splits(alpha):
                 elif beta and gamma and near_concat(beta, gamma) == alpha:
                     found.append((i, beta, gamma, "near"))
     return found
-
-
-def egf_counts_oracle(max_n):
-    """n! [t^n] exp(e^(2t)/2 - e^t + t + 1/2) via exp(g) = sum g^k / k!."""
-    terms = max_n + 1
-    fact = [1]
-    for i in range(1, terms + 1):
-        fact.append(fact[-1] * i)
-    g = [Fraction(2 ** k, 2 * fact[k]) - Fraction(1, fact[k]) for k in range(terms)]
-    g[0] += Fraction(1, 2)
-    g[1] += 1
-    assert g[0] == 0
-
-    def mul(a, b):
-        out = [Fraction(0)] * terms
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if i + j < terms and bj:
-                        out[i + j] += ai * bj
-        return out
-
-    total = [Fraction(0)] * terms
-    total[0] = Fraction(1)
-    power = [Fraction(0)] * terms
-    power[0] = Fraction(1)
-    for k in range(1, terms):  # g^k /k! vanishes below degree k
-        power = mul(power, g)
-        for d in range(terms):
-            total[d] += power[d] / fact[k]
-    return [int(total[n] * fact[n]) for n in range(terms)]
 
 
 def count_by_enumeration(n):

@@ -17,19 +17,11 @@ from orbitopes.characters import (
 )
 from orbitopes.compositions import Composition, compositions_of
 from orbitopes.hopf_monoid import class_of, mu
+from orbitopes.selftest import random_character
 from oracles import convolve_value, pairwise_series_mul
 
 C = Composition
 F = Fraction
-
-
-def random_character(rng, degree=6) -> Character:
-    values = {}
-    for n in range(1, degree + 1):
-        for alpha in compositions_of(n):
-            if len(alpha) >= 2 or alpha.parts == (1,):
-                values[alpha] = F(rng.randint(-5, 5), rng.randint(1, 4))
-    return Character(degree, values)
 
 
 def random_group_series(rng, degree=6) -> NSymSeries:
@@ -119,7 +111,7 @@ def test_char_to_series_examples():
 def test_char_series_roundtrip():
     rng = random.Random(6)
     for _ in range(25):
-        zeta = random_character(rng)
+        zeta = random_character(rng, 6)
         f = char_to_series(zeta)
         assert in_group_G(f)
         assert series_to_char(f) == zeta
@@ -149,7 +141,7 @@ def test_convolve_is_multiplicative_on_one_part_classes():
     # the splits formula on (n) already equals the n-th power of the value on (1)
     rng = random.Random(8)
     for _ in range(20):
-        zeta, psi = random_character(rng), random_character(rng)
+        zeta, psi = random_character(rng, 6), random_character(rng, 6)
         conv = convolve(zeta, psi)
         for n in range(1, 7):
             assert convolve_value(zeta, psi, C((n,))) == conv.on_composition(C((1,))) ** n
@@ -181,7 +173,7 @@ def test_invert_character_examples():
 def test_inversion_matches_series_inversion():
     rng = random.Random(10)
     for _ in range(20):
-        zeta = random_character(rng)
+        zeta = random_character(rng, 6)
         f = char_to_series(zeta)
         inverse = char_to_series(invert_character(zeta))
         assert inverse == series_inverse(f)
@@ -191,7 +183,7 @@ def test_inversion_matches_series_inversion():
 def test_group_homomorphism_random():
     rng = random.Random(11)
     for _ in range(25):
-        zeta, psi = random_character(rng), random_character(rng)
+        zeta, psi = random_character(rng, 6), random_character(rng, 6)
         lhs = char_to_series(convolve(zeta, psi))
         rhs = pairwise_series_mul(char_to_series(zeta), char_to_series(psi))
         assert lhs == rhs

@@ -12,6 +12,7 @@ from orbitopes.compositions import Composition
 from orbitopes.hopf_algebra import HopfElement, antipode, inject
 from orbitopes.hopf_monoid import COUNT_MAX_N
 from orbitopes.invariants import CHI_MAX_WEIGHT, chi
+from orbitopes.selftest import run_selftest
 from oracles import recurrence_count
 
 C = Composition
@@ -325,13 +326,27 @@ def test_unknown_command_is_exit_2(capsys):
     assert invoke(capsys, "classify")[0] == 2  # missing required flag
 
 
+SUITES = (
+    "splits_reassembly", "delta_vs_geometry", "chi_vs_bruteforce", "normal_equivalence_oracle",
+    "base_polytope", "chamber_census", "species_counts", "character_isomorphism",
+)
+
+
+def selftest_report(passed):
+    suites = {name: {"passed": p, "failed": 0} for name, p in zip(SUITES, passed)}
+    return {"suites": suites, "passed": sum(passed), "failed": 0}
+
+
 def test_selftest_cli(capsys):
     code, out, _ = invoke(capsys, "selftest", "--max-n", "3")
     assert code == 0
-    data = json.loads(out)
-    assert data["failed"] == 0
-    assert data["passed"] > 0
-    assert all(s["failed"] == 0 for s in data["suites"].values())
+    assert json.loads(out) == selftest_report([25, 43, 8, 21, 25, 25, 9, 10])
+
+
+def test_run_selftest_report():
+    report = run_selftest(5)
+    assert report == selftest_report([161, 683, 32, 85, 25, 25, 9, 10])
+    assert report["passed"] == 1030
 
 
 @pytest.mark.parametrize("max_n", ["0", "-3", "9"])

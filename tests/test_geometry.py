@@ -21,6 +21,7 @@ from orbitopes.geometry import (
     submodular_of_orbit,
     vertex_count,
 )
+from orbitopes.selftest import random_point, suite_normal_equivalence
 from oracles import naive_max_face
 
 C = Composition
@@ -116,8 +117,7 @@ def test_max_face_indicator_singleton():
 def test_max_face_matches_naive_argmax():
     rng = random.Random(7)
     for _ in range(200):
-        n = rng.randint(1, 6)
-        p = pt(*[F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)])
+        p = random_point(rng, rng.randint(1, 6))
         y = {l: F(rng.randint(-3, 3)) for l in p.ground.labels}
         assert max_face_vertices(p, y) == naive_max_face(p, y)
 
@@ -155,10 +155,13 @@ def test_check_base_polytope_examples():
             assert check_base_polytope(representative_point(alpha, standard_ground(n)))
 
 
-def test_check_base_polytope_bound():
+def test_check_base_polytope_bound(monkeypatch):
     with pytest.raises(ValueError, match="brute-force bound"):
         check_base_polytope(pt(*range(9)))
-    assert check_base_polytope(pt(*range(4)), bound=4)
+    monkeypatch.setenv("ORBITOPE_MAX_N", "4")
+    assert check_base_polytope(pt(*range(4)))
+    with pytest.raises(ValueError, match="ground set of size 5 > 4"):
+        check_base_polytope(pt(*range(5)))
 
 
 def test_env_var_overrides_bound(monkeypatch):
@@ -213,24 +216,9 @@ def test_normally_equivalent_examples():
         normally_equivalent(pt(1, 0), pt(1, 0, 0))
 
 
-def chamber_fingerprint(p):
-    grouped = {}
-    for order, vertex in chamber_census(p).items():
-        grouped.setdefault(vertex, set()).add(order)
-    return frozenset(frozenset(orders) for orders in grouped.values())
-
-
 def test_normally_equivalent_matches_chamber_fingerprints():
     # the partition of chambers by owning vertex determines the normal fan
-    for n in range(1, 6):
-        ground = standard_ground(n)
-        reps = [representative_point(alpha, ground) for alpha in compositions_of(n)]
-        prints = {composition_of_point(p): chamber_fingerprint(p) for p in reps}
-        for p in reps:
-            for q in reps:
-                assert normally_equivalent(p, q) == (
-                    prints[composition_of_point(p)] == prints[composition_of_point(q)]
-                )
+    assert suite_normal_equivalence(5) == (341, 0)
 
 
 def test_face_decomposition_examples():

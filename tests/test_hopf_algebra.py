@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -112,11 +113,15 @@ def test_one_part_relation_is_well_defined():
             via_product = via_product * coproduct(inject(C((1,))))
         direct = TensorElement({})
         for i in range(n + 1):
-            from math import comb
-
             pair = tensor(inject(C((i,)) if i else C(())), inject(C((n - i,)) if n - i else C(())))
             direct = direct + comb(n, i) * pair
         assert via_product == direct
+
+
+def test_coproduct_of_large_point_class_is_binomial():
+    n = 300
+    expected = {(gm(*[(1,)] * j), gm(*[(1,)] * (n - j))): comb(n, j) for j in range(n + 1)}
+    assert coproduct(inject(C((n,)))).coeffs == expected
 
 
 def test_coassociativity_on_generators():
