@@ -9,66 +9,31 @@ T = TypeVar("T")
 
 
 def distinct_permutations(values: Sequence[T]) -> Iterator[tuple[T, ...]]:
-    """Yield each rearrangement of a multiset exactly once.
+    """Yield each rearrangement of a multiset exactly once, in decreasing lexicographic order.
 
-    Recursive placement by first element; n!/prod(mult_i!) outputs, no
-    post-hoc deduplication.
+    Knuth's Algorithm L (TAOCP 7.2.1.2) run downwards: from the weakly
+    decreasing arrangement, each step finds the rightmost j with
+    a[j] > a[j + 1], swaps a[j] with the rightmost smaller entry after it
+    and reverses the tail after j.  n!/prod(mult_i!) outputs, no
+    recursion and no post-hoc deduplication.
     """
-    values = sorted(values, reverse=True)
-    n = len(values)
-    if n == 0:
-        yield ()
-        return
-
-    def rec(remaining: list[T]) -> Iterator[tuple[T, ...]]:
-        if not remaining:
-            yield ()
+    a = sorted(values, reverse=True)
+    last = len(a) - 1
+    while True:
+        yield tuple(a)
+        j = last - 1
+        while j >= 0 and a[j] <= a[j + 1]:
+            j -= 1
+        if j < 0:
             return
-        seen = set()
-        for idx, v in enumerate(remaining):
-            if v in seen:
-                continue
-            seen.add(v)
-            rest = remaining[:idx] + remaining[idx + 1:]
-            for tail in rec(rest):
-                yield (v,) + tail
-
-    yield from rec(values)
+        l = last
+        while a[l] >= a[j]:
+            l -= 1
+        a[j], a[l] = a[l], a[j]
+        a[j + 1:] = a[:j:-1]
 
 
 def subsets(items: Sequence[T]) -> Iterator[tuple[T, ...]]:
     """All subsets of ``items``, as tuples, by increasing size."""
     for k in range(len(items) + 1):
         yield from combinations(items, k)
-
-
-def set_partitions(items: Sequence[T]) -> Iterator[list[list[T]]]:
-    """Unordered partitions of ``items`` into nonempty blocks.
-
-    The empty sequence has one partition: the empty list of blocks.
-    """
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for partition in set_partitions(rest):
-        for i in range(len(partition)):
-            yield partition[:i] + [[first] + partition[i]] + partition[i + 1:]
-        yield [[first]] + partition
-
-
-def ordered_set_partitions(items: Sequence[T]) -> Iterator[tuple[tuple[T, ...], ...]]:
-    """Ordered partitions of ``items`` into nonempty blocks (Fubini many)."""
-    items = list(items)
-    if not items:
-        yield ()
-        return
-    n = len(items)
-    for k in range(1, n + 1):
-        for block_idx in combinations(range(n), k):
-            chosen = set(block_idx)
-            block = tuple(items[i] for i in block_idx)
-            rest = [items[i] for i in range(n) if i not in chosen]
-            for tail in ordered_set_partitions(rest):
-                yield (block,) + tail

@@ -14,14 +14,19 @@ sorted coordinate multiset.
 Brute-force operations (vertex enumeration over all chambers, base
 polytope verification, and the labels a maximal face permutes) are
 guarded by a ground-set size bound, default ``DEFAULT_BOUND`` and
-overridable through the ``ORBITOPE_MAX_N`` environment variable.
+overridable through the ``ORBITOPE_MAX_N`` environment variable.  The
+half-space scan multiplies the coordinates by the lcm of their
+denominators once and runs on integers, and the chamber census finds
+vertices by integer ranks; every result is still built from, and
+returned as, ``Fraction`` coordinates.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from itertools import groupby, permutations, product
+from itertools import accumulate, chain, groupby, permutations, product
+from math import lcm
 from typing import Iterable, Mapping
 
 from .compositions import Composition, multinomial
@@ -84,7 +89,18 @@ class Point:
 
     @classmethod
     def from_values(cls, ground: GroundSet, values: Iterable[Fraction]) -> "Point":
-        return cls(ground, dict(zip(ground, values)))
+        values = tuple(map(Fraction, values))
+        if len(values) != len(ground):
+            raise ValueError("coordinates must be given for exactly the ground-set labels")
+        return cls._of(ground, values)
+
+    @classmethod
+    def _of(cls, ground: GroundSet, values: tuple[Fraction, ...]) -> "Point":
+        # trusted: ``values`` is a tuple of Fractions already in ground order
+        self = object.__new__(cls)
+        self.ground = ground
+        self.values = values
+        return self
 
     def __getitem__(self, label: str) -> Fraction:
         return self.values[self.ground.index(label)]
@@ -186,10 +202,7 @@ def composition_of_point(p: Point) -> Composition:
 def orbit_vertices(p: Point) -> set[Point]:
     """All distinct coordinate rearrangements of p; these are the orbit polytope's vertices."""
     _check_bound(len(p.ground))
-    return {
-        Point.from_values(p.ground, arrangement)
-        for arrangement in distinct_permutations(p.values)
-    }
+    return {Point._of(p.ground, arrangement) for arrangement in distinct_permutations(p.values)}
 
 
 def level_partition(y: Mapping[str, Fraction], ground: GroundSet) -> OrderedSetPartition:
@@ -217,20 +230,18 @@ def max_face_vertices(p: Point, y: Mapping[str, Fraction]) -> set[Point]:
     if tied > limit:
         raise ValueError(f"brute-force bound exceeded: {tied} labels in tied level sets > {limit}")
     values = sorted_values(p)
-    per_block: list[list[tuple[str, ...]]] = []
-    block_labels: list[tuple[str, ...]] = []
+    per_block: list[list[tuple[Fraction, ...]]] = []
     start = 0
     for block in partition:
-        chunk = values[start:start + len(block)]
+        per_block.append(list(distinct_permutations(values[start:start + len(block)])))
         start += len(block)
-        block_labels.append(tuple(sorted(block)))
-        per_block.append(list(distinct_permutations(chunk)))
+    # position of each ground label in a choice's concatenated block arrangements
+    where = {label: i for i, label in enumerate(chain.from_iterable(partition))}
+    gather = [where[label] for label in p.ground]
     out = set()
     for choice in product(*per_block):
-        coords: dict[str, Fraction] = {}
-        for labels, arrangement in zip(block_labels, choice):
-            coords.update(zip(labels, arrangement))
-        out.add(Point(p.ground, coords))
+        flat = tuple(chain.from_iterable(choice))
+        out.add(Point._of(p.ground, tuple(map(flat.__getitem__, gather))))
     return out
 
 
@@ -249,32 +260,29 @@ def check_base_polytope(p: Point) -> bool:
 
     Every orbit vertex must satisfy sum(x) = z(I) and sum over S <= z(S)
     for each proper nonempty S, and each such inequality must be attained
-    with equality by some vertex.  Subsets are scanned as bitmasks over
-    the label positions, sharing one addition per (vertex, subset) pair.
+    with equality by some vertex.  The coordinates are scaled once to
+    integers by the lcm of their denominators, which preserves every
+    comparison.  Subsets are scanned as bitmasks over the label positions,
+    one addition per (vertex, subset) pair: bit i of a mask stands for
+    position i.
     """
     n = len(p.ground)
-    vertices = orbit_vertices(p)
+    _check_bound(n)
     values = sorted_values(p)
-    prefix = [Fraction(0)]
-    for v in values:
-        prefix.append(prefix[-1] + v)
-    size = 1 << n
-    best: list[Fraction | None] = [None] * size
-    zero = Fraction(0)
-    for vertex in vertices:
-        vals = vertex.values
-        sums = [zero] * size
-        for m in range(1, size):
-            low = (m & -m).bit_length() - 1
-            s = sums[m & (m - 1)] + vals[low]
-            sums[m] = s
-            if best[m] is None or s > best[m]:
-                best[m] = s
-        if sums[size - 1] != prefix[n]:
+    scale = lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    prefix = list(accumulate(scaled, initial=0))
+    best: list[int] | None = None
+    for vertex in distinct_permutations(scaled):
+        sums = [0]
+        for v in vertex:
+            sums += [s + v for s in sums]
+        if sums[-1] != prefix[n]:
             return False
-    for m in range(1, size - 1):
+        best = sums if best is None else list(map(max, best, sums))
+    for m in range(1, (1 << n) - 1):
         # max over vertices must meet z(S) exactly: <= is validity, == is tightness
-        if best[m] != prefix[bin(m).count("1")]:
+        if best[m] != prefix[m.bit_count()]:
             return False
     return True
 
@@ -283,13 +291,24 @@ def chamber_census(p: Point) -> dict[tuple[str, ...], Point]:
     """For each total order on the labels, the unique orbit vertex weakly sorted along it.
 
     An order (l_1, ..., l_n) stands for the closed chamber x_{l_1} >= ... >= x_{l_n}.
+    Each order's vertex is found by its tuple of coordinate ranks in ground
+    order, equal coordinates sharing a rank; the orders on one vertex share
+    one ``Point``.
     """
     n = len(p.ground)
     _check_bound(n)
     values = sorted_values(p)
+    distinct = [value for value, _ in groupby(values)]
+    ranks = [rank for rank, (_, run) in enumerate(groupby(values)) for _ in run]
+    shared: dict[tuple[int, ...], Point] = {}
     census = {}
     for order in permutations(p.ground):
-        census[order] = Point(p.ground, dict(zip(order, values)))
+        rank_of = dict(zip(order, ranks))
+        key = tuple(map(rank_of.__getitem__, p.ground))
+        vertex = shared.get(key)
+        if vertex is None:
+            vertex = shared[key] = Point._of(p.ground, tuple(map(distinct.__getitem__, key)))
+        census[order] = vertex
     return census
 
 

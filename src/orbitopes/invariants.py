@@ -6,18 +6,21 @@ over the refinements, the surjection number j! S(a, j), so the
 coefficients are the multinomial of the class times the convolution of
 one surjection row per part.  ``chi_bruteforce`` recomputes it from first
 principles by splitting the labeled class along every ordered set
-partition and reading off which splits land entirely on points.  The two
-must agree, and the test suite holds them to that.
+partition and reading off which splits land entirely on points.  It walks
+the partitions depth first over their first block, splitting each prefix
+once, and skips every partition whose first block already leaves a factor
+that is not a product of points.  The two must agree, and the test suite
+holds them to that.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, lcm
 from typing import Iterable, Mapping
 
 from .compositions import Composition, multinomial
-from .enumeration import ordered_set_partitions
 from .geometry import _check_bound
 from .hopf_monoid import OrbitClassElement, class_of, delta
 
@@ -182,21 +185,23 @@ def chi_bruteforce_element(x: OrbitClassElement) -> BinomialPolynomial:
 
     Each ordered partition into k nonempty parts contributes the product
     of the point-counting character over the factors of the iterated
-    split, as the coefficient of binom(t, k).  A factor kills its term as
-    soon as it is not a product of points, so the fold short-circuits.
+    split, as the coefficient of binom(t, k).  The partitions are walked
+    depth first over their first block: each prefix is split once with
+    ``delta``, and a first block whose factor is not a product of points
+    kills every partition that starts with it, so its subtree is skipped.
     """
     _check_bound(len(x.ground), CHI_BOUND)
-    out: dict[int, Fraction] = {}
-    for parts in ordered_set_partitions(sorted(x.ground)):
-        rest = x
-        dead = False
-        for part in parts:
-            factor, rest = delta(rest, part)
-            if any(len(labels) > 1 for labels, _ in factor.blocks):
-                dead = True
-                break
-        if dead:
+    counts = [0] * (len(x.ground) + 1)  # counts[k]: all-point partitions into k blocks
+    stack = [(x, 0)]  # the element left to split, and the number of blocks taken so far
+    while stack:
+        rest, k = stack.pop()
+        if not rest.ground:
+            counts[k] += 1
             continue
-        k = len(parts)
-        out[k] = out.get(k, Fraction(0)) + 1
-    return BinomialPolynomial(out)
+        labels = sorted(rest.ground)
+        for size in range(1, len(labels) + 1):
+            for part in combinations(labels, size):
+                factor, tail = delta(rest, part)
+                if not any(len(block) > 1 for block, _ in factor.blocks):
+                    stack.append((tail, k + 1))
+    return BinomialPolynomial(dict(enumerate(counts)))

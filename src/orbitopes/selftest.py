@@ -1,11 +1,12 @@
 """Built-in oracle-equivalence suites, runnable from the CLI.
 
 Each suite pits a combinatorial formula against an independent geometric
-or enumerative computation, yields one bool per case, and returns the
-(passed, failed) tally.  Randomized suites use a fixed seed so runs are
-reproducible.  The test suite asserts these same suites and draws its
-random points and characters from ``random_point`` and
-``random_character``.
+or enumerative computation, yields one bool per case, and returns its
+``{"passed": p, "failed": f}`` tally.  A suite that raises reports the
+error and counts it as one failed case; the other suites still run.
+Randomized suites use a fixed seed so runs are reproducible.  The test
+suite asserts these same suites and draws its random points and
+characters from ``random_point`` and ``random_character``.
 """
 
 from __future__ import annotations
@@ -83,13 +84,23 @@ def random_character(rng: random.Random, degree: int) -> Character:
     return Character(degree, values)
 
 
-def _tally(suite: Callable[..., Iterator[bool]]) -> Callable[..., tuple[int, int]]:
-    """Run a suite that yields one bool per case; return (passed, failed)."""
+def _tally(suite: Callable[..., Iterator[bool]]) -> Callable[..., dict]:
+    """Run a suite that yields one bool per case; return its passed and failed counts.
+
+    A case that raises ends the suite: it counts as one failure, and the
+    entry gains ``"error": "<ExceptionType>: <message>"``.
+    """
 
     @wraps(suite)
-    def run(*args) -> tuple[int, int]:
-        oks = [bool(ok) for ok in suite(*args)]
-        return sum(oks), len(oks) - sum(oks)
+    def run(*args) -> dict:
+        entry = {"passed": 0, "failed": 0}
+        try:
+            for ok in suite(*args):
+                entry["passed" if ok else "failed"] += 1
+        except Exception as exc:
+            entry["failed"] += 1
+            entry["error"] = f"{type(exc).__name__}: {exc}"
+        return entry
 
     return run
 
@@ -237,12 +248,8 @@ def run_selftest(max_n: int = 5) -> dict:
         "species_counts": suite_species(8),
         "character_isomorphism": suite_characters(10, 5),
     }
-    report = {
-        "suites": {
-            name: {"passed": passed, "failed": failed}
-            for name, (passed, failed) in suites.items()
-        }
+    return {
+        "suites": suites,
+        "passed": sum(entry["passed"] for entry in suites.values()),
+        "failed": sum(entry["failed"] for entry in suites.values()),
     }
-    report["passed"] = sum(p for p, _ in suites.values())
-    report["failed"] = sum(f for _, f in suites.values())
-    return report

@@ -7,13 +7,16 @@ every pair of coefficients, convolution values from the binomial cut
 formula on the characters themselves, the antipode from the degree
 recursion on whole multisets, the invariant chi from the sum over every
 refinement, and structure counts from the recurrence on the block
-holding the last label.  The generating-function coefficients of the
+holding the last label or from a literal sum over set partitions.  Set
+partitions and ordered set partitions are enumerated recursively here,
+for the tests alone.  The generating-function coefficients of the
 structure counts have one copy, ``orbitopes.selftest.egf_counts``, which
 the tests import.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 from orbitopes.characters import Character, NSymSeries, ribbon_mul
@@ -26,7 +29,6 @@ from orbitopes.compositions import (
     refinements,
     splits,
 )
-from orbitopes.enumeration import set_partitions
 from orbitopes.geometry import Point, orbit_vertices
 from orbitopes.hopf_algebra import GeneratorMultiset, HopfElement, coproduct, product
 from orbitopes.invariants import BinomialPolynomial
@@ -44,6 +46,38 @@ def brute_force_splits(alpha):
                 elif beta and gamma and near_concat(beta, gamma) == alpha:
                     found.append((i, beta, gamma, "near"))
     return found
+
+
+def set_partitions(items):
+    """Unordered partitions of ``items`` into nonempty blocks.
+
+    The empty sequence has one partition: the empty list of blocks.
+    """
+    items = list(items)
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in set_partitions(rest):
+        for i in range(len(partition)):
+            yield partition[:i] + [[first] + partition[i]] + partition[i + 1:]
+        yield [[first]] + partition
+
+
+def ordered_set_partitions(items):
+    """Ordered partitions of ``items`` into nonempty blocks (Fubini many)."""
+    items = list(items)
+    if not items:
+        yield ()
+        return
+    n = len(items)
+    for k in range(1, n + 1):
+        for block_idx in combinations(range(n), k):
+            chosen = set(block_idx)
+            block = tuple(items[i] for i in block_idx)
+            rest = [items[i] for i in range(n) if i not in chosen]
+            for tail in ordered_set_partitions(rest):
+                yield (block,) + tail
 
 
 def count_by_enumeration(n):

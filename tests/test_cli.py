@@ -349,6 +349,23 @@ def test_run_selftest_report():
     assert report["passed"] == 1030
 
 
+def test_selftest_reports_a_raising_suite_and_runs_the_rest(capsys, monkeypatch):
+    def broken(alpha):
+        raise RuntimeError("recount unavailable")
+
+    monkeypatch.setattr("orbitopes.selftest.chi_bruteforce", broken)
+    report = run_selftest(3)
+    suites = dict(report["suites"])
+    entry = suites.pop("chi_vs_bruteforce")
+    assert entry["failed"] >= 1 and entry["error"] == "RuntimeError: recount unavailable"
+    expected = selftest_report([25, 43, 8, 21, 25, 25, 9, 10])["suites"]
+    del expected["chi_vs_bruteforce"]
+    assert suites == expected
+
+    code, out, err = invoke(capsys, "selftest", "--max-n", "3")
+    assert code == 1 and err == "" and json.loads(out) == report
+
+
 @pytest.mark.parametrize("max_n", ["0", "-3", "9"])
 def test_selftest_max_n_range(capsys, monkeypatch, max_n):
     monkeypatch.delenv("ORBITOPE_MAX_N", raising=False)

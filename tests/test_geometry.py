@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from orbitopes.compositions import Composition, compositions_of, multinomial
+from orbitopes.enumeration import distinct_permutations
 from orbitopes.geometry import (
     GroundSet,
     OrderedSetPartition,
@@ -54,6 +57,9 @@ def test_point_validation():
     g = standard_ground(2)
     with pytest.raises(ValueError):
         Point(g, {"1": F(1)})
+    for values in ([1, 2, 3], [1], []):
+        with pytest.raises(ValueError, match="exactly the ground-set labels"):
+            Point.from_values(g, values)
     p = pt(1, 2)
     assert p["2"] == 2
     assert Point.from_json(p.to_json()) == p
@@ -85,6 +91,36 @@ def test_orbit_vertices_examples():
     assert orbit_vertices(pt(1, 1, 0)) == {pt(1, 1, 0), pt(1, 0, 1), pt(0, 1, 1)}
     assert len(orbit_vertices(pt(2, 2, 1, 0))) == 12
     assert orbit_vertices(pt(3, 3, 3)) == {pt(3, 3, 3)}
+
+
+def test_distinct_permutations_matches_itertools():
+    multisets = [
+        values for n in range(8) for values in combinations_with_replacement(range(3), n)
+    ]
+    for values in multisets + [(F(1, 2), F(-3), F(1, 2), F(7, 3), F(-3))]:
+        out = list(distinct_permutations(values))
+        expected = multinomial(len(values), C(Counter(values).values()))
+        assert len(out) == len(set(out)) == expected
+        assert set(out) == set(permutations(values))
+    assert list(distinct_permutations([])) == [()]
+
+
+# pairwise-coprime denominators and a 40-digit numerator
+COPRIME = (F(10**40, 7), F(-1, 11), F(3, 13), F(0), F(5, 2))
+
+
+def test_check_base_polytope_scales_to_integers():
+    p = pt(*COPRIME)
+    assert check_base_polytope(p)
+    assert orbit_vertices(p) == {Point.from_values(p.ground, v) for v in permutations(COPRIME)}
+    assert check_base_polytope(pt(F(2, 3), F(2, 3), F(2, 3)))
+    assert check_base_polytope(Point(GroundSet(()), {}))
+
+
+def test_chamber_census_shares_one_point_per_vertex():
+    for p in (pt(*COPRIME), pt(2, 2, 1, 0), pt(3, 3, 3), pt(1, 1, 0, 0, 0), pt()):
+        census = chamber_census(p)
+        assert len({id(v) for v in census.values()}) == vertex_count(p)
 
 
 def test_orbit_vertex_count_matches_multinomial():
@@ -218,7 +254,7 @@ def test_normally_equivalent_examples():
 
 def test_normally_equivalent_matches_chamber_fingerprints():
     # the partition of chambers by owning vertex determines the normal fan
-    assert suite_normal_equivalence(5) == (341, 0)
+    assert suite_normal_equivalence(5) == {"passed": 341, "failed": 0}
 
 
 def test_face_decomposition_examples():

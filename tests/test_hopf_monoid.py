@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orbitopes.compositions import Composition, compositions_of
-from orbitopes.enumeration import ordered_set_partitions, subsets
+from orbitopes.enumeration import subsets
 from orbitopes.geometry import standard_ground
 from orbitopes.hopf_monoid import (
     COUNT_MAX_N,
@@ -18,7 +18,7 @@ from orbitopes.hopf_monoid import (
     relabel,
 )
 from orbitopes.selftest import egf_counts
-from oracles import count_by_enumeration, recurrence_count
+from oracles import count_by_enumeration, ordered_set_partitions, recurrence_count
 
 C = Composition
 
