@@ -4,7 +4,7 @@
 Usage: python scripts/chi_table.py --n 4 [--check]
 
 With --check, each row is recomputed by the ordered-set-partition brute
-force and compared.
+force and compared; the exit code is 1 if any row mismatches.
 """
 
 import argparse
@@ -33,13 +33,17 @@ def main():
     parser.add_argument("--check", action="store_true")
     args = parser.parse_args()
 
+    mismatches = 0
     for alpha in compositions_of(args.n):
         poly = chi(alpha)
         row = f"{str(tuple(alpha.parts)):>18}  {monomial_str(to_monomial(poly))}"
         if args.check:
             verdict = "ok" if chi_bruteforce(alpha) == poly else "MISMATCH"
+            mismatches += verdict != "ok"
             row += f"  [{verdict}]"
         print(row)
+    if mismatches:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@
 """Tabulate labeled class counts next to the generating-function expansion.
 
 Usage: python scripts/species_counts.py [--max-n N]
+
+The exit code is 1 if any count differs from its coefficient.
 """
 
 import argparse
@@ -17,10 +19,14 @@ def main():
 
     expansion = egf_counts(args.max_n)
     print(f"{'n':>3}  {'count':>14}  {'egf coeff':>14}  match")
+    mismatches = 0
     for n in range(args.max_n + 1):
         count = count_structures(n)
         mark = "ok" if count == expansion[n] else "MISMATCH"
+        mismatches += mark != "ok"
         print(f"{n:>3}  {count:>14}  {expansion[n]:>14}  {mark}")
+    if mismatches:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -13,12 +13,20 @@ n! c_(n) = c_(1)^n.  Convolution and inversion of characters go through
 that realization, so the series product and the series inverse carry all
 the work.  Both rest on one cut kernel: the pairs (beta, gamma) whose
 ribbon product contains alpha are exactly the |alpha| + 1 cuts of alpha.
+
+The kernel runs on integers.  Inside it a series is a list of rows, one
+per weight n: a positive denominator D_n and a dict from each composition
+of weight n to an integer numerator, so the coefficient on alpha is
+numerator / D_n.  A product row is summed over the lcm of the cut
+denominators, an inverse row over c0 times that lcm; ``Fraction`` appears
+only where a row is read from or written to a public ``NSymSeries`` or
+``Character``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Mapping
 
 from .compositions import (EMPTY, ONE, Composition, compositions_of, concat, is_generator,
@@ -44,7 +52,7 @@ class Character:
     def __init__(self, degree: int = DEFAULT_DEGREE,
                  values: Mapping[Composition, Fraction] = ()):
         _check_degree(degree)
-        values = {k: Fraction(v) for k, v in dict(values).items()}
+        values = {Composition(k): Fraction(v) for k, v in dict(values).items()}
         for alpha in values:
             if not is_generator(alpha):
                 raise ValueError(f"{alpha} is not a generator; one-part values are derived")
@@ -52,6 +60,14 @@ class Character:
                 raise ValueError(f"generator {alpha} exceeds truncation degree {degree}")
         self.degree = degree
         self.values = {k: v for k, v in values.items() if v}
+
+    @classmethod
+    def _of(cls, degree: int, values: dict[Composition, Fraction]) -> "Character":
+        # trusted: nonzero Fractions on generators of weight at most ``degree``
+        self = object.__new__(cls)
+        self.degree = degree
+        self.values = values
+        return self
 
     @classmethod
     def identity(cls, degree: int = DEFAULT_DEGREE) -> "Character":
@@ -133,12 +149,20 @@ class NSymSeries:
     def __init__(self, degree: int = DEFAULT_DEGREE,
                  coeffs: Mapping[Composition, Fraction] = ()):
         _check_degree(degree)
-        coeffs = {k: Fraction(v) for k, v in dict(coeffs).items()}
+        coeffs = {Composition(k): Fraction(v) for k, v in dict(coeffs).items()}
         for alpha in coeffs:
             if alpha.weight > degree:
                 raise ValueError(f"coefficient on {alpha} exceeds truncation degree {degree}")
         self.degree = degree
         self.coeffs = {k: v for k, v in coeffs.items() if v}
+
+    @classmethod
+    def _of(cls, degree: int, coeffs: dict[Composition, Fraction]) -> "NSymSeries":
+        # trusted: nonzero Fractions on compositions of weight at most ``degree``
+        self = object.__new__(cls)
+        self.degree = degree
+        self.coeffs = coeffs
+        return self
 
     @classmethod
     def unit(cls, degree: int = DEFAULT_DEGREE) -> "NSymSeries":
@@ -202,17 +226,78 @@ class NSymSeries:
         return cls(data["degree"], coeffs)
 
 
-def _cut_sum(left: Mapping[Composition, Fraction], right: Mapping[Composition, Fraction],
-             alpha: Composition, first: int = 0) -> Fraction:
-    """Sum of left[beta] * right[gamma] over the cuts of alpha, from left weight ``first`` on."""
-    total = Fraction(0)
-    for beta, gamma in splits(alpha)[first:]:
-        lb = left.get(beta)
-        if lb:
-            rg = right.get(gamma)
-            if rg:
-                total += lb * rg
-    return total
+_Row = tuple[int, dict[Composition, int]]  # (D_n, numerators): coefficients numerator / D_n
+
+
+def _row(values: Mapping[Composition, Fraction], scale: int = 1) -> _Row:
+    """Fractions over the lcm of their denominators, that denominator times ``scale``."""
+    den = lcm(*(v.denominator for v in values.values()))
+    return den * scale, {alpha: v.numerator * (den // v.denominator) for alpha, v in values.items()}
+
+
+def _rows(f: NSymSeries) -> list[_Row]:
+    by_weight: list[dict[Composition, Fraction]] = [{} for _ in range(f.degree + 1)]
+    for alpha, value in f.coeffs.items():
+        by_weight[alpha.weight][alpha] = value
+    return [_row(values) for values in by_weight]
+
+
+def _series(rows: list[_Row]) -> NSymSeries:
+    return NSymSeries._of(len(rows) - 1, {
+        alpha: Fraction(num, den) for den, row in rows for alpha, num in row.items()
+    })
+
+
+def _cut_row(left: list[_Row], right: list[_Row], n: int, first: int = 0) -> _Row:
+    """Weight-n row of the sum of left[beta] * right[gamma] over the cuts of each alpha.
+
+    Only cuts from left weight ``first`` on are summed, and only at cut weights
+    where both rows are nonempty.  The row's denominator is the lcm of the
+    products of those rows' denominators; each cut is scaled up to it.
+    """
+    active = []
+    for i in range(first, n + 1):
+        (dl, nl), (dr, nr) = left[i], right[n - i]
+        if nl and nr:
+            active.append((i, nl, nr, dl * dr))
+    den = lcm(*(d for *_, d in active))
+    active = [(i, nl, nr, den // d) for i, nl, nr, d in active]
+    row = {}
+    if active:
+        for alpha in compositions_of(n):
+            cuts = splits(alpha)
+            total = 0
+            for i, nl, nr, scale in active:
+                beta, gamma = cuts[i]
+                lb = nl.get(beta)
+                if lb:
+                    rg = nr.get(gamma)
+                    if rg:
+                        total += lb * rg * scale
+            if total:
+                row[alpha] = total
+    return den, row
+
+
+def _product_rows(f: list[_Row], g: list[_Row]) -> list[_Row]:
+    return [_cut_row(f, g, n) for n in range(len(f))]
+
+
+def _inverse_rows(f: list[_Row]) -> list[_Row]:
+    # c0 = p / q with p > 0; weight n solves (f * inv)[alpha] = 0 from the weights below,
+    # where the cut with an empty left part contributes c0 * inv[alpha]
+    q, row = f[0]
+    p = row[EMPTY]
+    if p < 0:
+        p, q = -p, -q
+    inv = [(p, {EMPTY: q})]
+    for n in range(1, len(f)):
+        den, row = _cut_row(f, inv, n, 1)
+        den *= p
+        row = {alpha: -q * num for alpha, num in row.items()}
+        common = gcd(den, *row.values())
+        inv.append((den // common, {alpha: num // common for alpha, num in row.items()}))
+    return inv
 
 
 def series_mul(f: NSymSeries, g: NSymSeries) -> NSymSeries:
@@ -222,27 +307,14 @@ def series_mul(f: NSymSeries, g: NSymSeries) -> NSymSeries:
     """
     if f.degree != g.degree:
         raise ValueError("truncation degrees differ")
-    out = {
-        alpha: _cut_sum(f.coeffs, g.coeffs, alpha)
-        for n in range(f.degree + 1)
-        for alpha in compositions_of(n)
-    }
-    return NSymSeries(f.degree, out)
+    return _series(_product_rows(_rows(f), _rows(g)))
 
 
 def series_inverse(f: NSymSeries) -> NSymSeries:
     """Multiplicative inverse in increasing weight; needs a nonzero constant term."""
-    c0 = f.coefficient(EMPTY)
-    if c0 == 0:
+    if f.coefficient(EMPTY) == 0:
         raise ValueError("non-invertible series: constant coefficient is 0")
-    inv: dict[Composition, Fraction] = {EMPTY: 1 / c0}
-    for n in range(1, f.degree + 1):
-        for alpha in compositions_of(n):
-            # (f * inv)[alpha] = 0; the cut with an empty left part contributes c0 * inv[alpha]
-            value = -_cut_sum(f.coeffs, inv, alpha, 1) / c0
-            if value:
-                inv[alpha] = value
-    return NSymSeries(f.degree, inv)
+    return _series(_inverse_rows(_rows(f)))
 
 
 def in_group_G(f: NSymSeries) -> bool:
@@ -256,43 +328,55 @@ def in_group_G(f: NSymSeries) -> bool:
     return True
 
 
+def _char_rows(zeta: Character, degree: int) -> list[_Row]:
+    """Rows of the realization: weight n over n! times the lcm of its value denominators."""
+    by_weight: list[dict[Composition, Fraction]] = [{} for _ in range(degree + 1)]
+    by_weight[0][EMPTY] = Fraction(1)
+    for alpha, value in zeta.values.items():
+        n = alpha.weight
+        if n <= degree:
+            by_weight[n][alpha] = value
+    c1 = zeta.values.get(ONE)
+    if c1:
+        for n in range(2, degree + 1):
+            by_weight[n][Composition((n,))] = c1 ** n
+    return [_row(values, factorial(n)) for n, values in enumerate(by_weight)]
+
+
+def _character(rows: list[_Row]) -> Character:
+    """The character whose generator values are |beta|! times the rows' coefficients."""
+    values = {}
+    for n, (den, row) in enumerate(rows):
+        fact = factorial(n)
+        for beta, num in row.items():
+            if is_generator(beta):
+                values[beta] = Fraction(fact * num, den)
+    return Character._of(len(rows) - 1, values)
+
+
 def char_to_series(zeta: Character, degree: int | None = None) -> NSymSeries:
     """Realize a character as the series with c_beta = zeta(beta) / |beta|!."""
     if degree is None:
         degree = zeta.degree
+    _check_degree(degree)
     if degree > zeta.degree:
         raise ValueError(f"character truncated at {zeta.degree}, cannot expand to {degree}")
-    coeffs: dict[Composition, Fraction] = {}
-    for n in range(degree + 1):
-        fact = factorial(n)
-        for beta in compositions_of(n):
-            value = zeta.on_composition(beta)
-            if value:
-                coeffs[beta] = value / fact
-    return NSymSeries(degree, coeffs)
+    return _series(_char_rows(zeta, degree))
 
 
 def series_to_char(f: NSymSeries) -> Character:
     """Pull a group series back to the character with those generator values."""
     if not in_group_G(f):
         raise ValueError("series is not in the character group image")
-    values: dict[Composition, Fraction] = {}
-    for n in range(1, f.degree + 1):
-        fact = factorial(n)
-        for beta in compositions_of(n):
-            if is_generator(beta):
-                value = fact * f.coefficient(beta)
-                if value:
-                    values[beta] = value
-    return Character(f.degree, values)
+    return _character(_rows(f))
 
 
 def convolve(zeta: Character, psi: Character) -> Character:
     """Convolution: the realization of zeta * psi is the product of the realizations."""
     degree = min(zeta.degree, psi.degree)
-    return series_to_char(series_mul(char_to_series(zeta, degree), char_to_series(psi, degree)))
+    return _character(_product_rows(_char_rows(zeta, degree), _char_rows(psi, degree)))
 
 
 def invert_character(zeta: Character) -> Character:
     """Convolution inverse: the realization of the inverse is the inverse series."""
-    return series_to_char(series_inverse(char_to_series(zeta)))
+    return _character(_inverse_rows(_char_rows(zeta, zeta.degree)))

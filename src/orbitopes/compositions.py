@@ -12,7 +12,7 @@ hashes exactly as the tuple of its parts.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Sequence
 
 
@@ -25,6 +25,8 @@ class Composition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
+        if type(parts) is cls:
+            return parts  # already validated, and immutable: as tuple(t) is t
         self = tuple.__new__(cls, map(int, parts))
         if min(self, default=1) < 1:
             raise ValueError(f"composition parts must be positive, got {tuple(self)}")
@@ -44,6 +46,9 @@ class Composition(tuple):
 
 EMPTY = Composition()
 ONE = Composition((1,))
+
+# trusted constructor for pieces cut from a valid composition: no re-validation
+_piece = partial(tuple.__new__, Composition)
 
 
 def is_generator(alpha: Composition) -> bool:
@@ -72,7 +77,15 @@ def splits(alpha: Composition) -> tuple[tuple[Composition, Composition], ...]:
     ``alpha``.  A cut that lands between two parts is a concatenation; a
     cut through the interior of a part is a near-concatenation.
     """
-    return tuple(restrict_contract(alpha, i) for i in range(alpha.weight + 1))
+    # one walk over the parts
+    cuts = [(EMPTY, _piece(alpha))]
+    for j, part in enumerate(alpha):
+        head, tail = alpha[:j], alpha[j + 1:]
+        for k in range(1, part):
+            # the cut falls inside part j, splitting it into k and part - k
+            cuts.append((_piece(head + (k,)), _piece((part - k,) + tail)))
+        cuts.append((_piece(alpha[:j + 1]), _piece(tail)))
+    return tuple(cuts)
 
 
 @lru_cache(maxsize=None)
@@ -80,17 +93,7 @@ def restrict_contract(alpha: Composition, i: int) -> tuple[Composition, Composit
     """Cut ``alpha`` after total weight ``i``: the i-th entry of splits(alpha)."""
     if not 0 <= i <= alpha.weight:
         raise ValueError(f"cut weight {i} out of range for {alpha}")
-    acc = 0
-    for j, part in enumerate(alpha):
-        if acc == i:
-            return Composition(alpha[:j]), Composition(alpha[j:])
-        if acc + part > i:
-            # the cut falls inside part j, splitting it in two
-            left = alpha[:j] + (i - acc,)
-            right = (acc + part - i,) + alpha[j + 1:]
-            return Composition(left), Composition(right)
-        acc += part
-    return alpha, EMPTY
+    return splits(alpha)[i]
 
 
 def iterated_restrict(alpha: Composition, sizes: Sequence[int]) -> list[Composition]:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,7 +16,7 @@ from orbitopes.characters import (
     series_mul,
     series_to_char,
 )
-from orbitopes.compositions import Composition, compositions_of
+from orbitopes.compositions import Composition, compositions_of, is_generator
 from orbitopes.hopf_monoid import class_of, mu
 from orbitopes.selftest import random_character
 from oracles import convolve_value, pairwise_series_mul
@@ -210,6 +211,85 @@ def test_series_kernel_matches_pairwise_oracle():
             assert pairwise_series_mul(f, series_inverse(f)) == NSymSeries.unit(degree)
 
 
+def assert_normalized(values):
+    # every stored value is a nonzero Fraction in lowest terms
+    for v in values.values():
+        assert type(v) is Fraction and v != 0
+        assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+
+
+def check_series_kernel(f: NSymSeries, g: NSymSeries) -> None:
+    product = series_mul(f, g)
+    assert product == pairwise_series_mul(f, g)
+    assert_normalized(product.coeffs)
+    if f.coefficient(C(())):
+        inverse = series_inverse(f)
+        assert pairwise_series_mul(f, inverse) == NSymSeries.unit(f.degree)
+        assert pairwise_series_mul(inverse, f) == NSymSeries.unit(f.degree)
+        assert_normalized(inverse.coeffs)
+
+
+def check_character_kernel(zeta: Character, psi: Character) -> None:
+    conv, inv = convolve(zeta, psi), invert_character(zeta)
+    for n in range(zeta.degree + 1):
+        for alpha in compositions_of(n):
+            assert conv.on_composition(alpha) == convolve_value(zeta, psi, alpha)
+            assert convolve_value(zeta, inv, alpha) == (1 if n == 0 else 0)
+    assert_normalized(conv.values)
+    assert_normalized(inv.values)
+
+
+def test_kernel_negative_constant_term():
+    rng = random.Random(17)
+    for degree in (1, 4, 6):
+        f = NSymSeries(degree, {**random_invertible_series(rng, degree, 0.5).coeffs, C(()): F(-7, 3)})
+        check_series_kernel(f, random_invertible_series(rng, degree, 0.5))
+        check_series_kernel(NSymSeries(degree, {C(()): F(-7, 3), C((1,)): F(2, 5)}), f)
+
+
+def test_kernel_large_coefficients_with_coprime_denominators():
+    # numerators near 10^12; weight n draws its denominators from a prime of its own
+    rng = random.Random(18)
+    primes = (2, 3, 5, 7, 11, 13, 17)
+    for density in (1.0, 0.3):
+        coeffs = [{}, {}]
+        for n in range(7):
+            for alpha in compositions_of(n):
+                for side in coeffs:
+                    if n == 0 or rng.random() < density:
+                        sign = rng.choice((1, -1))
+                        side[alpha] = F(sign * rng.randint(10 ** 11, 10 ** 12), primes[n] ** rng.randint(0, 2))
+        check_series_kernel(NSymSeries(6, coeffs[0]), NSymSeries(6, coeffs[1]))
+        zeta, psi = (Character(6, {a: v for a, v in side.items() if is_generator(a)}) for side in coeffs)
+        check_character_kernel(zeta, psi)
+
+
+def test_kernel_drops_a_row_that_cancels():
+    # (1 + R(1)) (1 - R(1)) has no weight-1 term: the whole row cancels
+    r1 = NSymSeries(4, {C((1,)): F(3, 7)})
+    f, g = NSymSeries.unit(4) + r1, NSymSeries.unit(4) - r1
+    product = series_mul(f, g)
+    assert not [alpha for alpha in product.coeffs if alpha.weight == 1]
+    assert product.coeffs[C((2,))] == F(-9, 49)
+    check_series_kernel(f, g)
+    # zeta * zeta^-1 cancels every row above weight 0
+    zeta = random_character(random.Random(19), 5)
+    assert convolve(zeta, invert_character(zeta)).values == {}
+
+
+def test_kernel_degree_zero_and_constant_only():
+    for degree in (0, 5):
+        const = NSymSeries(degree, {C(()): F(-7, 3)})
+        check_series_kernel(const, const)
+        assert series_inverse(const) == NSymSeries(degree, {C(()): F(-3, 7)})
+        assert series_mul(const, const) == NSymSeries(degree, {C(()): F(49, 9)})
+        check_series_kernel(NSymSeries(degree, {}), const)
+    eps = Character.identity(0)
+    assert convolve(eps, eps) == eps == invert_character(eps)
+    assert char_to_series(eps) == NSymSeries.unit(0)
+    check_character_kernel(Character.basic(5), Character.identity(5))
+
+
 def test_G_closure():
     rng = random.Random(12)
     for _ in range(20):
@@ -238,6 +318,12 @@ def test_character_validation():
             Character(degree, {})
         with pytest.raises(ValueError, match="nonnegative integer"):
             NSymSeries(degree, {})
+    # plain tuple keys are coerced to compositions, and bad ones are refused
+    assert NSymSeries(3, {(1, 2): 1}) == NSymSeries(3, {C((1, 2)): 1})
+    assert Character(3, {(1, 2): 1}) == Character(3, {C((1, 2)): 1})
+    for make in (NSymSeries, Character):
+        with pytest.raises(ValueError, match="positive"):
+            make(3, {(0, 1): 1})
 
 
 def test_series_json_roundtrip():

@@ -91,6 +91,17 @@ def test_restrict_contract_examples():
         restrict_contract(C((1, 2, 1)), 5)
 
 
+def test_restrict_contract_reads_splits():
+    for alpha in compositions_up_to(7):
+        cuts = splits(alpha)
+        for i in range(alpha.weight + 1):
+            assert restrict_contract(alpha, i) == cuts[i]
+            assert all(type(piece) is Composition for piece in cuts[i])
+        for i in (-1, alpha.weight + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                restrict_contract(alpha, i)
+
+
 def test_iterated_restrict_examples():
     assert iterated_restrict(C((1, 2, 1)), [2, 2]) == [C((1, 1)), C((1, 1))]
     assert iterated_restrict(C((3,)), [1, 1, 1]) == [C((1,)), C((1,)), C((1,))]

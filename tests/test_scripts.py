@@ -1,9 +1,12 @@
 """Smoke tests: the scripts under scripts/ run against the library and agree with it."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,3 +36,29 @@ def test_species_counts_match_the_expansion():
     assert header.split() == ["n", "count", "egf", "coeff", "match"]
     assert [int(row.split()[0]) for row in rows] == list(range(11))
     assert all(row.split()[-1] == "ok" for row in rows)
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, argv, broken", [
+    ("chi_table.py", ["--n", "3", "--check"], "chi_bruteforce"),
+    ("species_counts.py", ["--max-n", "4"], "egf_counts"),
+])
+def test_script_exits_1_on_mismatch(monkeypatch, capsys, name, argv, broken):
+    script = load_script(name)
+    original = getattr(script, broken)
+    wrong = {
+        "chi_bruteforce": lambda alpha: 2 * original(alpha),
+        "egf_counts": lambda max_n: [c + 1 for c in original(max_n)],
+    }[broken]
+    monkeypatch.setattr(script, broken, wrong)
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        script.main()
+    assert exit_info.value.code == 1
+    assert "MISMATCH" in capsys.readouterr().out
