@@ -77,23 +77,35 @@ def splits(alpha: Composition) -> tuple[tuple[Composition, Composition], ...]:
     ``alpha``.  A cut that lands between two parts is a concatenation; a
     cut through the interior of a part is a near-concatenation.
     """
-    # one walk over the parts
-    cuts = [(EMPTY, _piece(alpha))]
+    # one walk over the parts; the two end cuts share alpha and EMPTY
+    cuts = [(EMPTY, alpha)]
     for j, part in enumerate(alpha):
         head, tail = alpha[:j], alpha[j + 1:]
         for k in range(1, part):
             # the cut falls inside part j, splitting it into k and part - k
             cuts.append((_piece(head + (k,)), _piece((part - k,) + tail)))
-        cuts.append((_piece(alpha[:j + 1]), _piece(tail)))
+        cuts.append((_piece(alpha[:j + 1]), _piece(tail)) if tail else (alpha, EMPTY))
     return tuple(cuts)
 
 
 @lru_cache(maxsize=None)
 def restrict_contract(alpha: Composition, i: int) -> tuple[Composition, Composition]:
-    """Cut ``alpha`` after total weight ``i``: the i-th entry of splits(alpha)."""
+    """Cut ``alpha`` after total weight ``i``: the i-th entry of splits(alpha).
+
+    Only the one cut is built, in O(len(alpha)) whatever the weight, so a
+    single cut of a composition such as (10**9,) stays cheap.
+    """
     if not 0 <= i <= alpha.weight:
         raise ValueError(f"cut weight {i} out of range for {alpha}")
-    return splits(alpha)[i]
+    acc = 0
+    for j, part in enumerate(alpha):
+        if acc == i:
+            return _piece(alpha[:j]), _piece(alpha[j:])
+        if acc + part > i:
+            # the cut falls inside part j, splitting it in two
+            return _piece(alpha[:j] + (i - acc,)), _piece((acc + part - i,) + alpha[j + 1:])
+        acc += part
+    return alpha, EMPTY
 
 
 def iterated_restrict(alpha: Composition, sizes: Sequence[int]) -> list[Composition]:

@@ -96,6 +96,17 @@ def test_delta_single_and_iterated(capsys):
     assert json.loads(out) == {"factors": [[1, 1], [1, 1]]}
 
 
+def test_delta_on_a_huge_part_builds_one_cut(capsys):
+    # delta has no weight bound: a single cut must cost O(number of parts)
+    code, out, _ = invoke(capsys, "delta", "--composition", "[1000000000]", "--size", "1")
+    assert code == 0
+    assert json.loads(out) == {"restricted": [1], "contracted": [999999999]}
+
+    code, out, _ = invoke(capsys, "delta", "--composition", "[1000000000]", "--sizes", "[1, 999999999]")
+    assert code == 0
+    assert json.loads(out) == {"factors": [[1], [999999999]]}
+
+
 def test_delta_domain_error_is_exit_1(capsys):
     code, out, _ = invoke(capsys, "delta", "--composition", "[1,2,1]", "--size", "9")
     assert code == 1
