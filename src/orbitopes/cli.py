@@ -50,6 +50,13 @@ def _check_degree_bound(degree: int) -> None:
         raise ValueError(f"degree bound exceeded: {degree} > {MAX_DEGREE}")
 
 
+def _check_repeats(args) -> None:
+    # each "append" flag must be given as often as its subcommand reads it
+    flag, count, noun = args.repeated
+    if len(getattr(args, flag)) != count:
+        raise SchemaError(f"{args.command}: expected exactly {('one', 'two')[count - 1]} --{flag} {noun}")
+
+
 def _parse_json(text: str, what: str):
     # ValueError covers integers past the digit limit; RecursionError, nesting too deep
     try:
@@ -117,8 +124,6 @@ def cmd_maxface(args) -> dict:
 
 
 def cmd_normeq(args) -> dict:
-    if len(args.point) != 2:
-        raise SchemaError("normeq: expected exactly two --point arguments")
     p = _parse_point(args.point[0])
     q = _parse_point(args.point[1])
     return {"normally_equivalent": normally_equivalent(p, q)}
@@ -177,8 +182,6 @@ def cmd_chi(args) -> dict:
 
 
 def cmd_convolve(args) -> dict:
-    if len(args.char) != 2:
-        raise SchemaError("convolve: expected exactly two --char files")
     try:
         zeta = Character.from_json(_load_json_file(args.char[0], "char"), degree=args.degree)
         psi = Character.from_json(_load_json_file(args.char[1], "char"), degree=args.degree)
@@ -199,8 +202,6 @@ def _load_series(path: str) -> NSymSeries:
 
 
 def cmd_series_mul(args) -> dict:
-    if len(args.series) != 2:
-        raise SchemaError("series-mul: expected exactly two --series files")
     f = _load_series(args.series[0])
     g = _load_series(args.series[1])
     return series_mul(f, g).to_json()
@@ -226,22 +227,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, repeated=None, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, repeated=repeated)
         return p
 
-    p = add("classify", cmd_classify, help="composition of a point")
+    p = add("classify", cmd_classify, ("point", 1, "argument"), help="composition of a point")
     p.add_argument("--point", action="append", required=True, help="JSON object label -> rational")
 
-    p = add("vertices", cmd_vertices, help="orbit vertices of a point")
+    p = add("vertices", cmd_vertices, ("point", 1, "argument"), help="orbit vertices of a point")
     p.add_argument("--point", action="append", required=True)
 
-    p = add("maxface", cmd_maxface, help="vertices maximizing a functional")
+    p = add("maxface", cmd_maxface, ("point", 1, "argument"), help="vertices maximizing a functional")
     p.add_argument("--point", action="append", required=True)
     p.add_argument("--functional", required=True, help="JSON object label -> rational")
 
-    p = add("normeq", cmd_normeq, help="normal equivalence of two points")
+    p = add("normeq", cmd_normeq, ("point", 2, "arguments"), help="normal equivalence of two points")
     p.add_argument("--point", action="append", required=True, help="give twice")
 
     p = add("delta", cmd_delta, help="cut a composition by weight(s)")
@@ -259,14 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--composition", required=True)
     p.add_argument("--monomial", action="store_true", help="also expand in the monomial basis")
 
-    p = add("convolve", cmd_convolve, help="convolve two characters from files")
+    p = add("convolve", cmd_convolve, ("char", 2, "files"), help="convolve two characters from files")
     p.add_argument("--char", action="append", required=True, help="path to a character JSON file; give twice")
     p.add_argument("--degree", type=int, default=None, help="overrides each file's degree")
 
-    p = add("series-mul", cmd_series_mul, help="multiply two ribbon series from files")
+    p = add("series-mul", cmd_series_mul, ("series", 2, "files"), help="multiply two ribbon series from files")
     p.add_argument("--series", action="append", required=True, help="give twice")
 
-    p = add("series-inv", cmd_series_inv, help="invert a ribbon series from a file")
+    p = add("series-inv", cmd_series_inv, ("series", 1, "file"), help="invert a ribbon series from a file")
     p.add_argument("--series", action="append", required=True)
 
     p = add("count", cmd_count, help="number of classes on n labels")
@@ -285,6 +286,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.repeated:
+            _check_repeats(args)
         payload = args.fn(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

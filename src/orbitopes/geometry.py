@@ -38,7 +38,12 @@ DEFAULT_BOUND = 8
 
 def brute_force_bound(default: int = DEFAULT_BOUND) -> int:
     env = os.environ.get("ORBITOPE_MAX_N")
-    return int(env) if env else default
+    if not env:
+        return default
+    # ASCII digits only: int() would also take signs, spaces, underscores and other scripts
+    if not (env.isascii() and env.isdigit() and int(env) >= 1):
+        raise ValueError(f"ORBITOPE_MAX_N must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _check_bound(n: int, default: int = DEFAULT_BOUND):

@@ -10,8 +10,9 @@ quotient.
 The coproduct of a generator sums over all cuts of the composition,
 weighted by the binomial coefficient of the cut weight; it extends to
 multisets as an algebra map and to arbitrary elements linearly.  The
-antipode of a generator is solved from its defining identity over the
-same cuts, and extends multiplicatively, since the algebra is commutative.
+antipode of a generator is solved from that generator's coproduct, by
+m(S (x) id)Delta = counit, and extends multiplicatively, since the algebra
+is commutative.  Both maps are cached only on basis multisets.
 """
 
 from __future__ import annotations
@@ -213,7 +214,6 @@ def product(x: HopfElement, y: HopfElement) -> HopfElement:
     ))
 
 
-@lru_cache(maxsize=None)
 def _coproduct_generator(alpha: Composition) -> TensorElement:
     # one term per cut; the left degrees differ, so the keys are distinct
     n = alpha.weight
@@ -255,24 +255,19 @@ def counit(x: HopfElement) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _antipode_generator(alpha: Composition) -> HopfElement:
-    # m(S (x) id)Delta(alpha) = 0 summed over the cuts of alpha; the last cut,
-    # alpha (x) empty, carries S(alpha), and the others have lower left degree
-    n = alpha.weight
-    return HopfElement(_linear(
-        (left.union(_class(gamma)), -comb(n, beta.weight) * v)
-        for beta, gamma in splits(alpha)[:-1]
-        for left, v in _antipode_basis(_class(beta)).coeffs.items()
-    ))
-
-
-@lru_cache(maxsize=None)
 def _antipode_basis(gm: GeneratorMultiset) -> HopfElement:
-    # the algebra is commutative, so S is an algebra map
-    out = HopfElement.unit()
-    for alpha in gm:
-        out = out * _antipode_generator(alpha)
-    return out
+    if len(gm) != 1:
+        # the algebra is commutative, so S is an algebra map
+        out = HopfElement.unit()
+        for alpha in gm:
+            out = out * _antipode_basis(_class(alpha))
+        return out
+    # m(S (x) id)Delta(alpha) = 0: every term but alpha (x) empty has lower left degree
+    return HopfElement(_linear(
+        (left.union(right), -c * v)
+        for (top, right), c in _coproduct_generator(gm[0]).coeffs.items() if top != gm
+        for left, v in _antipode_basis(top).coeffs.items()
+    ))
 
 
 def antipode(x: HopfElement) -> HopfElement:

@@ -5,18 +5,19 @@ exhaustive pair search, maximal faces from argmax over all vertices,
 polynomial identities from pointwise evaluation, the series product from
 every pair of coefficients, convolution values from the binomial cut
 formula on the characters themselves, the antipode from the degree
-recursion on whole multisets, the invariant chi from the sum over every
-refinement, and structure counts from the recurrence on the block
-holding the last label or from a literal sum over set partitions.  Set
-partitions and ordered set partitions are enumerated recursively here,
-for the tests alone.  The generating-function coefficients of the
-structure counts have one copy, ``orbitopes.selftest.egf_counts``, which
-the tests import.
+recursion on whole multisets or from the faces of the orbit polytope
+(Aguiar-Ardila's cancellation-free formula), the invariant chi from the
+sum over every refinement, and structure counts from the recurrence on
+the block holding the last label or from a literal sum over set
+partitions.  Set partitions and ordered set partitions are enumerated
+recursively here, for the tests alone.  The generating-function
+coefficients of the structure counts have one copy,
+``orbitopes.selftest.egf_counts``, which the tests import.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from orbitopes.characters import Character, NSymSeries, ribbon_mul
@@ -24,13 +25,14 @@ from orbitopes.compositions import (
     Composition,
     compositions_of,
     concat,
+    iterated_restrict,
     multinomial,
     near_concat,
     refinements,
     splits,
 )
 from orbitopes.geometry import Point, orbit_vertices
-from orbitopes.hopf_algebra import GeneratorMultiset, HopfElement, coproduct, product
+from orbitopes.hopf_algebra import GeneratorMultiset, HopfElement, _class, coproduct, product
 from orbitopes.invariants import BinomialPolynomial
 
 
@@ -168,6 +170,31 @@ def recursive_antipode(x: HopfElement) -> HopfElement:
     for gm, v in x.coeffs.items():
         acc = acc + v * _recursive_antipode_basis(gm)
     return acc
+
+
+def face_antipode(alpha: Composition) -> HopfElement:
+    """S(alpha) as (-1)^n times the sum of (-1)^dim Q * Q over the faces Q of O(alpha).
+
+    Aguiar-Ardila, Hopf monoids and generalized permutahedra, Thm 7.1.  A face
+    is a composition c of n with multinomial(n; c) labelings; its pieces are
+    alpha cut at the partial sums of c, and a piece of weight k spans k - 1
+    dimensions if it has two or more parts and is a point otherwise.  Two
+    one-part pieces meeting at a cut strictly inside a part of alpha lie in
+    one tied level of the point, so c names the same face as the composition
+    that merges them and is skipped.
+    """
+    n = alpha.weight
+    inner = set(range(1, n)) - set(accumulate(alpha))
+    coeffs: dict[GeneratorMultiset, Fraction] = {}
+    for c in compositions_of(n):
+        pieces = iterated_restrict(alpha, c)
+        if any(len(p) == len(q) == 1 and cut in inner
+               for p, q, cut in zip(pieces, pieces[1:], accumulate(c))):
+            continue
+        dim = sum(p.weight - 1 for p in pieces if len(p) > 1)
+        face = GeneratorMultiset(a for p in pieces for a in _class(p))
+        coeffs[face] = coeffs.get(face, 0) + (-1) ** (n + dim) * multinomial(n, c)
+    return HopfElement(coeffs)
 
 
 def refinement_chi(alpha: Composition) -> BinomialPolynomial:

@@ -86,6 +86,56 @@ def test_normeq_needs_two_points(capsys):
     assert code == 2 and "two" in err
 
 
+def data_files(tmp_path) -> dict:
+    """Paths of a valid character and series file, and of two malformed ones."""
+    files = {
+        "CHAR": Character.basic(2).to_json(),
+        "SERIES": char_to_series(Character.basic(2)).to_json(),
+        "CHAR_VALUE_5": {"degree": 4, "values": [5]},
+        "SERIES_COEFF_5": {"degree": 4, "coeffs": [5]},
+    }
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    return {name: str(tmp_path / name) for name in files}
+
+
+P1, P2 = '{"a":"1","b":"0"}', '{"a":"2","b":"0"}'
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--point", '{"a":"1"}', "--point", "garbage"], "classify: expected exactly one --point argument"),
+    (["vertices", "--point", P1, "--point", P2], "vertices: expected exactly one --point argument"),
+    (["maxface", "--point", P1, "--point", P2, "--functional", P1], "maxface: expected exactly one --point argument"),
+    (["normeq", "--point", P1, "--point", P2, "--point", P1], "normeq: expected exactly two --point arguments"),
+    (["convolve", "--char", "CHAR", "--char", "CHAR", "--char", "CHAR"], "convolve: expected exactly two --char files"),
+    (["series-mul", "--series", "SERIES"], "series-mul: expected exactly two --series files"),
+    (["series-inv", "--series", "SERIES", "--series", "MISSING"], "series-inv: expected exactly one --series file"),
+])
+def test_repeated_flag_count(tmp_path, capsys, argv, message):
+    paths = dict(data_files(tmp_path), MISSING=str(tmp_path / "missing.json"))
+    code, out, err = invoke(capsys, *[paths.get(a, a) for a in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["maxface", "--point", P1, "--functional", "[1]"], "functional"),
+    (["maxface", "--point", P1, "--functional", '{"a":"x","b":"1"}'], "functional"),
+    (["maxface", "--point", P1, "--functional", '{"a":"1"}'], "functional"),
+    (["delta", "--composition", "[1,2]", "--sizes", "[1, true]"], "sizes"),
+    (["convolve", "--char", "CHAR"], "convolve"),
+    (["convolve", "--char", "CHAR_VALUE_5", "--char", "CHAR_VALUE_5"], "char"),
+    (["series-inv", "--series", "SERIES_COEFF_5"], "series"),
+    (["antipode", "--element", "{}"], "element"),
+    (["classify", "--point", "[1,2]"], "point"),
+    (["classify", "--point", '{"a": 1.5}'], "point"),
+    (["classify", "--point", '{"a": null}'], "point"),
+])
+def test_schema_error_names_its_field(tmp_path, capsys, argv, field):
+    paths = data_files(tmp_path)
+    code, out, err = invoke(capsys, *[paths.get(a, a) for a in argv])
+    assert code == 2 and out == "" and err.startswith(f"error: {field}:"), err
+
+
 def test_delta_single_and_iterated(capsys):
     code, out, _ = invoke(capsys, "delta", "--composition", "[2,1,1,3,1]", "--size", "4")
     assert code == 0
@@ -237,6 +287,15 @@ def test_degree_bound(tmp_path, capsys):
     assert code == 1 and json.loads(out) == message
     code, out, _ = invoke(capsys, "convolve", "--char", str(char), "--char", str(char), "--degree", "4")
     assert code == 0 and json.loads(out)["character"]["degree"] == 4
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_malformed_max_n_is_exit_1(capsys, monkeypatch, value):
+    monkeypatch.setenv("ORBITOPE_MAX_N", value)
+    message = {"error": f"ORBITOPE_MAX_N must be a positive integer, got {value!r}"}
+    for argv in (["vertices", "--point", P1], ["selftest", "--max-n", "1"]):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and err == "" and json.loads(out) == message, argv
 
 
 def test_maxface_size_bound(capsys, monkeypatch):

@@ -12,6 +12,7 @@ from orbitopes.geometry import (
     GroundSet,
     OrderedSetPartition,
     Point,
+    brute_force_bound,
     chamber_census,
     check_base_polytope,
     composition_of_point,
@@ -206,6 +207,24 @@ def test_env_var_overrides_bound(monkeypatch):
         chamber_census(pt(1, 2, 3, 4))
     monkeypatch.setenv("ORBITOPE_MAX_N", "9")
     assert check_base_polytope(pt(1, 0, 0, 0))
+
+
+def test_brute_force_bound_reads_a_positive_integer(monkeypatch):
+    monkeypatch.delenv("ORBITOPE_MAX_N", raising=False)
+    assert brute_force_bound() == 8 and brute_force_bound(7) == 7
+    monkeypatch.setenv("ORBITOPE_MAX_N", "5")
+    assert brute_force_bound() == 5 and brute_force_bound(7) == 5
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_brute_force_bound_refuses_a_malformed_value(monkeypatch, value):
+    monkeypatch.setenv("ORBITOPE_MAX_N", value)
+    message = f"ORBITOPE_MAX_N must be a positive integer, got {value!r}"
+    with pytest.raises(ValueError) as info:
+        brute_force_bound()
+    assert str(info.value) == message
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        orbit_vertices(pt(1, 0))
 
 
 def test_chamber_census_examples():

@@ -4,9 +4,9 @@ from math import comb
 
 import pytest
 
-from orbitopes.compositions import Composition, compositions_of
+from orbitopes.compositions import Composition, compositions_of, is_generator
 from orbitopes.enumeration import subsets
-from orbitopes.geometry import standard_ground
+from orbitopes.geometry import orbit_vertices, representative_point, standard_ground
 from orbitopes.hopf_algebra import (
     EMPTY_MULTISET,
     GeneratorMultiset,
@@ -24,7 +24,7 @@ from orbitopes.hopf_algebra import (
     tensor,
 )
 from orbitopes.hopf_monoid import class_of, delta
-from oracles import recursive_antipode
+from oracles import face_antipode, recursive_antipode
 
 C = Composition
 F = Fraction
@@ -172,6 +172,30 @@ def test_antipode_matches_recursion_and_is_multiplicative():
         x, y = (HopfElement({rng.choice(pool): F(rng.randint(-4, 4), rng.randint(1, 3))
                              for _ in range(3)}) for _ in range(2))
         assert antipode(x * y) == antipode(x) * antipode(y)
+
+
+def test_antipode_matches_face_formula():
+    generators = [alpha for n in range(1, 9) for alpha in compositions_of(n) if is_generator(alpha)]
+    assert len(generators) == 248
+    for alpha in generators:
+        assert antipode(inject(alpha)) == face_antipode(alpha), alpha
+
+
+def test_antipode_vertex_term_counts_orbit_vertices():
+    # the faces of class (1)^n are the vertices of O(alpha), each of dimension 0
+    for n in range(1, 7):
+        points = gm(*[(1,)] * n)
+        for alpha in compositions_of(n):
+            vertices = orbit_vertices(representative_point(alpha, standard_ground(n)))
+            assert antipode(inject(alpha)).coeffs[points] == (-1) ** n * len(vertices), alpha
+
+
+def test_permutahedron_antipode_has_fubini_many_faces():
+    # S(1^n) is cancellation-free, and the permutahedron has one face per ordered set partition
+    fubini = [1, 3, 13, 75, 541, 4683, 47293, 545835]
+    for n, faces in enumerate(fubini, start=1):
+        coeffs = antipode(inject(C((1,) * n))).coeffs.values()
+        assert sum(abs(v) for v in coeffs) == faces, n
 
 
 def test_grading():

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
-from orbitopes.compositions import Composition, compositions_of
+from orbitopes.compositions import Composition, compositions_of, multinomial
+from orbitopes.hopf_algebra import antipode, inject
 from orbitopes.hopf_monoid import class_of, mu
 from orbitopes.invariants import (
     CHI_MAX_WEIGHT,
@@ -108,6 +109,25 @@ def test_chi_multiplicative_over_products():
         merged = mu(x, y)
         assert chi_bruteforce_element(merged) == chi(alpha) * chi(beta)
         assert chi_element(merged) == chi(alpha) * chi(beta)
+
+
+def test_chi_at_minus_one_counts_vertices():
+    # (-1)^n chi(alpha)(-1) = n!/prod(a_i!), the vertex count of O(alpha)
+    for n in range(8):
+        for alpha in compositions_of(n):
+            assert chi(alpha).evaluate(-1) == (-1) ** n * multinomial(n, alpha), alpha
+
+
+def test_chi_of_antipode_is_chi_at_minus_t():
+    # reciprocity of polynomial invariants (Aguiar-Ardila): chi(S(x))(t) = chi(x)(-t)
+    alphas = [alpha for n in range(8) for alpha in compositions_of(n)]
+    assert len(alphas) == 128
+    value = {(alpha, t): chi(alpha).evaluate(t) for alpha in alphas for t in range(-3, 4)}
+    for alpha in alphas:
+        s = antipode(inject(alpha))
+        for t in range(-3, 4):
+            got = sum(v * prod(value[beta, t] for beta in gm) for gm, v in s.coeffs.items())
+            assert got == value[alpha, -t], (alpha, t)
 
 
 def test_evaluation_consistency_both_bases():
