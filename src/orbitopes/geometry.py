@@ -41,9 +41,17 @@ def brute_force_bound(default: int = DEFAULT_BOUND) -> int:
     if not env:
         return default
     # ASCII digits only: int() would also take signs, spaces, underscores and other scripts
-    if not (env.isascii() and env.isdigit() and int(env) >= 1):
-        raise ValueError(f"ORBITOPE_MAX_N must be a positive integer, got {env!r}")
-    return int(env)
+    if env.isascii() and env.isdigit():
+        try:
+            bound = int(env)
+        except ValueError:  # more digits than the interpreter converts
+            raise ValueError(
+                f"ORBITOPE_MAX_N must be a positive integer, got {len(env)} digits, "
+                "more than int() converts"
+            ) from None
+        if bound >= 1:
+            return bound
+    raise ValueError(f"ORBITOPE_MAX_N must be a positive integer, got {env!r}")
 
 
 def _check_bound(n: int, default: int = DEFAULT_BOUND):

@@ -12,7 +12,10 @@ weighted by the binomial coefficient of the cut weight; it extends to
 multisets as an algebra map and to arbitrary elements linearly.  The
 antipode of a generator is solved from that generator's coproduct, by
 m(S (x) id)Delta = counit, and extends multiplicatively, since the algebra
-is commutative.  Both maps are cached only on basis multisets.
+is commutative.  Both maps are cached only on basis multisets, in bounded
+caches of plain dicts with integer coefficients: the structure constants
+are binomial coefficients and their signed sums.  The public maps multiply
+each cached integer by the caller's ``Fraction`` once per output term.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ class GeneratorMultiset(tuple):
     __slots__ = ()
 
     def __new__(cls, members: Iterable[Composition] = ()):
-        self = tuple.__new__(cls, sorted(members))
+        if type(members) is cls:
+            return members  # already validated, and immutable
+        self = tuple.__new__(cls, sorted(map(Composition, members)))
         for alpha in self:
             if not is_generator(alpha):
                 raise ValueError(f"{alpha} is not a generator (one part, weight >= 2)")
@@ -51,13 +56,22 @@ class GeneratorMultiset(tuple):
         return sum(alpha.weight for alpha in self)
 
     def union(self, other: "GeneratorMultiset") -> "GeneratorMultiset":
-        return GeneratorMultiset(self + other)
+        # trusted merge: both sides already hold only generators
+        return _multiset(self + other)
 
     def __repr__(self) -> str:
         return "{" + ", ".join(str(tuple(a)) for a in self) + "}"
 
 
 EMPTY_MULTISET = GeneratorMultiset()
+# entries per basis cache, above the 1718 basis multisets of degree <= 9;
+# the cached dicts are shared, so callers only read them
+_BASIS_CACHE_SIZE = 4096
+
+
+def _multiset(members: Iterable[Composition]) -> GeneratorMultiset:
+    """Trusted constructor for members that are already generators: no re-validation."""
+    return tuple.__new__(GeneratorMultiset, sorted(members))
 
 
 def _linear(terms) -> dict:
@@ -72,31 +86,52 @@ def _linear(terms) -> dict:
     return out
 
 
+def _times(x: dict, y: dict) -> dict:
+    """Product of two coefficient dicts on multisets: bilinear extension of union."""
+    return _linear((k1.union(k2), v1 * v2) for k1, v1 in x.items() for k2, v2 in y.items())
+
+
+def _tensor_times(x: dict, y: dict) -> dict:
+    """Product of two coefficient dicts on tuples of multisets: union slot by slot."""
+    return _linear(
+        (tuple(a.union(b) for a, b in zip(k1, k2)), v1 * v2)
+        for k1, v1 in x.items()
+        for k2, v2 in y.items()
+    )
+
+
 class HopfElement:
     """Finitely supported rational linear combination of generator multisets."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[GeneratorMultiset, Fraction] = ()):
-        self.coeffs = _linear((k, Fraction(v)) for k, v in dict(coeffs).items())
+        self.coeffs = _linear((GeneratorMultiset(k), Fraction(v)) for k, v in dict(coeffs).items())
+
+    @classmethod
+    def _of(cls, coeffs: dict[GeneratorMultiset, Fraction]) -> "HopfElement":
+        # trusted: nonzero Fractions on generator multisets
+        self = object.__new__(cls)
+        self.coeffs = coeffs
+        return self
 
     @classmethod
     def unit(cls) -> "HopfElement":
-        return cls({EMPTY_MULTISET: Fraction(1)})
+        return cls._of({EMPTY_MULTISET: Fraction(1)})
 
     @classmethod
     def basis(cls, gm: GeneratorMultiset) -> "HopfElement":
         return cls({gm: Fraction(1)})
 
     def __add__(self, other: "HopfElement") -> "HopfElement":
-        return HopfElement(_linear(chain(self.coeffs.items(), other.coeffs.items())))
+        return HopfElement._of(_linear(chain(self.coeffs.items(), other.coeffs.items())))
 
     def __sub__(self, other: "HopfElement") -> "HopfElement":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "HopfElement":
         scalar = Fraction(scalar)
-        return HopfElement({k: scalar * v for k, v in self.coeffs.items()})
+        return HopfElement._of({k: scalar * v for k, v in self.coeffs.items()} if scalar else {})
 
     def __mul__(self, other: "HopfElement") -> "HopfElement":
         return product(self, other)
@@ -139,34 +174,44 @@ class TensorElement:
     __slots__ = ("coeffs", "arity")
 
     def __init__(self, coeffs: Mapping[tuple, Fraction] = (), arity: int = 2):
-        coeffs = _linear((tuple(k), Fraction(v)) for k, v in dict(coeffs).items())
+        coeffs = _linear(
+            (tuple(map(GeneratorMultiset, k)), Fraction(v)) for k, v in dict(coeffs).items()
+        )
         for key in coeffs:
             if len(key) != arity:
                 raise ValueError(f"tensor key {key} does not have arity {arity}")
         self.coeffs = coeffs
         self.arity = arity
 
+    @classmethod
+    def _of(cls, coeffs: dict[tuple, Fraction], arity: int) -> "TensorElement":
+        # trusted: nonzero Fractions on ``arity``-tuples of generator multisets
+        self = object.__new__(cls)
+        self.coeffs = coeffs
+        self.arity = arity
+        return self
+
     def __add__(self, other: "TensorElement") -> "TensorElement":
         if self.arity != other.arity:
             raise ValueError("tensor arities differ")
-        return TensorElement(_linear(chain(self.coeffs.items(), other.coeffs.items())), self.arity)
+        return TensorElement._of(
+            _linear(chain(self.coeffs.items(), other.coeffs.items())), self.arity
+        )
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "TensorElement":
         scalar = Fraction(scalar)
-        return TensorElement({k: scalar * v for k, v in self.coeffs.items()}, self.arity)
+        return TensorElement._of(
+            {k: scalar * v for k, v in self.coeffs.items()} if scalar else {}, self.arity
+        )
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         """Componentwise product: multisets union slotwise, coefficients multiply."""
         if self.arity != other.arity:
             raise ValueError("tensor arities differ")
-        return TensorElement(_linear(
-            (tuple(a.union(b) for a, b in zip(k1, k2)), v1 * v2)
-            for k1, v1 in self.coeffs.items()
-            for k2, v2 in other.coeffs.items()
-        ), self.arity)
+        return TensorElement._of(_tensor_times(self.coeffs, other.coeffs), self.arity)
 
     def __eq__(self, other) -> bool:
         return (
@@ -184,22 +229,20 @@ class TensorElement:
 
     @classmethod
     def unit(cls, arity: int = 2) -> "TensorElement":
-        return cls({(EMPTY_MULTISET,) * arity: Fraction(1)}, arity)
+        return cls._of({(EMPTY_MULTISET,) * arity: Fraction(1)}, arity)
 
 
 def tensor(x: HopfElement, y: HopfElement) -> TensorElement:
-    out = {}
-    for k1, v1 in x.coeffs.items():
-        for k2, v2 in y.coeffs.items():
-            out[(k1, k2)] = v1 * v2
-    return TensorElement(out, 2)
+    return TensorElement._of(
+        {(k1, k2): v1 * v2 for k1, v1 in x.coeffs.items() for k2, v2 in y.coeffs.items()}, 2
+    )
 
 
 def _class(alpha: Composition) -> GeneratorMultiset:
     """The basis multiset of a composition: (1)^n for the one-part (n), else alpha itself."""
     if len(alpha) == 1:
-        return GeneratorMultiset([ONE] * alpha.weight)
-    return GeneratorMultiset([alpha] if alpha else [])
+        return _multiset((ONE,) * alpha.weight)
+    return _multiset((alpha,) if alpha else ())
 
 
 def inject(alpha: Composition) -> HopfElement:
@@ -209,43 +252,39 @@ def inject(alpha: Composition) -> HopfElement:
 
 def product(x: HopfElement, y: HopfElement) -> HopfElement:
     """Bilinear extension of multiset union."""
-    return HopfElement(_linear(
-        (k1.union(k2), v1 * v2) for k1, v1 in x.coeffs.items() for k2, v2 in y.coeffs.items()
-    ))
+    return HopfElement._of(_times(x.coeffs, y.coeffs))
 
 
-def _coproduct_generator(alpha: Composition) -> TensorElement:
+def _coproduct_generator(alpha: Composition) -> dict[tuple, int]:
     # one term per cut; the left degrees differ, so the keys are distinct
     n = alpha.weight
-    return TensorElement(
-        {(_class(beta), _class(gamma)): comb(n, beta.weight) for beta, gamma in splits(alpha)}, 2
-    )
+    return {(_class(beta), _class(gamma)): comb(n, beta.weight) for beta, gamma in splits(alpha)}
 
 
-@lru_cache(maxsize=None)
-def _coproduct_basis(gm: GeneratorMultiset) -> TensorElement:
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _coproduct_basis(gm: GeneratorMultiset) -> dict[tuple, int]:
     # the k copies of (1) are the class of (k): one cut sum with k + 1 terms
     ones = gm.count(ONE)
-    out = _coproduct_generator(Composition((ones,))) if ones else TensorElement.unit(2)
+    out = _coproduct_generator(Composition((ones,))) if ones else {(EMPTY_MULTISET,) * 2: 1}
     for alpha in gm:
         if alpha != ONE:
-            out = out * _coproduct_generator(alpha)
+            out = _tensor_times(out, _coproduct_generator(alpha))
     return out
 
 
 def coproduct(x: HopfElement) -> TensorElement:
     """Algebra-map coproduct: product over each multiset member's cut expansion."""
-    return TensorElement(_linear(
-        (key, v * w) for gm, v in x.coeffs.items() for key, w in _coproduct_basis(gm).coeffs.items()
+    return TensorElement._of(_linear(
+        (key, v * w) for gm, v in x.coeffs.items() for key, w in _coproduct_basis(gm).items()
     ), 2)
 
 
 def coproduct_in_slot(t: TensorElement, slot: int) -> TensorElement:
     """Apply the coproduct in one tensor slot, raising the arity by one."""
-    return TensorElement(_linear(
+    return TensorElement._of(_linear(
         (key[:slot] + inner + key[slot + 1:], v * w)
         for key, v in t.coeffs.items()
-        for inner, w in _coproduct_basis(key[slot]).coeffs.items()
+        for inner, w in _coproduct_basis(key[slot]).items()
     ), t.arity + 1)
 
 
@@ -254,41 +293,41 @@ def counit(x: HopfElement) -> Fraction:
     return x.coeffs.get(EMPTY_MULTISET, Fraction(0))
 
 
-@lru_cache(maxsize=None)
-def _antipode_basis(gm: GeneratorMultiset) -> HopfElement:
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _antipode_basis(gm: GeneratorMultiset) -> dict[GeneratorMultiset, int]:
     if len(gm) != 1:
         # the algebra is commutative, so S is an algebra map
-        out = HopfElement.unit()
+        out = {EMPTY_MULTISET: 1}
         for alpha in gm:
-            out = out * _antipode_basis(_class(alpha))
+            out = _times(out, _antipode_basis(_class(alpha)))
         return out
     # m(S (x) id)Delta(alpha) = 0: every term but alpha (x) empty has lower left degree
-    return HopfElement(_linear(
+    return _linear(
         (left.union(right), -c * v)
-        for (top, right), c in _coproduct_generator(gm[0]).coeffs.items() if top != gm
-        for left, v in _antipode_basis(top).coeffs.items()
-    ))
+        for (top, right), c in _coproduct_generator(gm[0]).items() if top != gm
+        for left, v in _antipode_basis(top).items()
+    )
 
 
 def antipode(x: HopfElement) -> HopfElement:
-    return HopfElement(_linear(
-        (key, v * w) for gm, v in x.coeffs.items() for key, w in _antipode_basis(gm).coeffs.items()
+    return HopfElement._of(_linear(
+        (key, v * w) for gm, v in x.coeffs.items() for key, w in _antipode_basis(gm).items()
     ))
 
 
 def apply_antipode_slot(t: TensorElement, slot: int) -> TensorElement:
     """Replace one tensor slot by its antipode (used to state the defining identity)."""
-    return TensorElement(_linear(
+    return TensorElement._of(_linear(
         (key[:slot] + (gm,) + key[slot + 1:], v * w)
         for key, v in t.coeffs.items()
-        for gm, w in _antipode_basis(key[slot]).coeffs.items()
+        for gm, w in _antipode_basis(key[slot]).items()
     ), t.arity)
 
 
 def multiply_slots(t: TensorElement) -> HopfElement:
     """Multiply all tensor slots back down to the algebra."""
-    return HopfElement(_linear(
-        (GeneratorMultiset(a for gm in key for a in gm), v) for key, v in t.coeffs.items()
+    return HopfElement._of(_linear(
+        (_multiset(chain.from_iterable(key)), v) for key, v in t.coeffs.items()
     ))
 
 
@@ -301,11 +340,12 @@ def generator_multisets(max_degree: int) -> list[GeneratorMultiset]:
     out: list[GeneratorMultiset] = []
 
     def extend(prefix: list[Composition], start: int, remaining: int):
-        out.append(GeneratorMultiset(prefix))
+        out.append(_multiset(prefix))
         for i in range(start, len(generators)):
             alpha = generators[i]
-            if alpha.weight <= remaining:
-                extend(prefix + [alpha], i, remaining - alpha.weight)
+            if alpha.weight > remaining:
+                break  # the generators come in increasing weight
+            extend(prefix + [alpha], i, remaining - alpha.weight)
 
     extend([], 0, max_degree)
     return sorted(out, key=lambda gm: (gm.degree, gm))

@@ -6,7 +6,8 @@ polynomial identities from pointwise evaluation, the series product from
 every pair of coefficients, convolution values from the binomial cut
 formula on the characters themselves, the antipode from the degree
 recursion on whole multisets or from the faces of the orbit polytope
-(Aguiar-Ardila's cancellation-free formula), the invariant chi from the
+(Aguiar-Ardila's cancellation-free formula), the basis multisets from one
+generator per part of each integer partition, the invariant chi from the
 sum over every refinement, and structure counts from the recurrence on
 the block holding the last label or from a literal sum over set
 partitions.  Set partitions and ordered set partitions are enumerated
@@ -17,7 +18,7 @@ coefficients of the structure counts have one copy,
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product as cartesian
 from math import comb
 
 from orbitopes.characters import Character, NSymSeries, ribbon_mul
@@ -195,6 +196,24 @@ def face_antipode(alpha: Composition) -> HopfElement:
         face = GeneratorMultiset(a for p in pieces for a in _class(p))
         coeffs[face] = coeffs.get(face, 0) + (-1) ** (n + dim) * multinomial(n, c)
     return HopfElement(coeffs)
+
+
+def partition_multisets(max_degree: int) -> list[GeneratorMultiset]:
+    """Basis multisets of weight <= max_degree: a generator of each part's weight, per partition."""
+
+    def partitions(n, largest):
+        if n == 0:
+            yield ()
+        for k in range(min(n, largest), 0, -1):
+            for rest in partitions(n - k, k):
+                yield (k,) + rest
+
+    found = set()
+    for n in range(max_degree + 1):
+        for shape in partitions(n, n):
+            pools = [[a for a in compositions_of(k) if len(a) >= 2 or a == (1,)] for k in shape]
+            found.update(GeneratorMultiset(choice) for choice in cartesian(*pools))
+    return sorted(found, key=lambda gm: (gm.degree, gm))
 
 
 def refinement_chi(alpha: Composition) -> BinomialPolynomial:

@@ -298,6 +298,15 @@ def test_malformed_max_n_is_exit_1(capsys, monkeypatch, value):
         assert code == 1 and err == "" and json.loads(out) == message, argv
 
 
+def test_max_n_past_the_digit_limit_is_exit_1(capsys, monkeypatch):
+    monkeypatch.setenv("ORBITOPE_MAX_N", "9" * 5000)
+    code, out, err = invoke(capsys, "vertices", "--point", P1)
+    assert code == 1 and err == ""
+    assert json.loads(out) == {
+        "error": "ORBITOPE_MAX_N must be a positive integer, got 5000 digits, more than int() converts"
+    }
+
+
 def test_maxface_size_bound(capsys, monkeypatch):
     monkeypatch.delenv("ORBITOPE_MAX_N", raising=False)
     point = json.dumps({str(i): str(i) for i in range(12)})

@@ -227,6 +227,15 @@ def test_brute_force_bound_refuses_a_malformed_value(monkeypatch, value):
         orbit_vertices(pt(1, 0))
 
 
+def test_brute_force_bound_names_the_variable_past_the_digit_limit(monkeypatch):
+    # int() refuses more than 4300 digits; the error must still name the variable
+    monkeypatch.setenv("ORBITOPE_MAX_N", "9" * 5000)
+    message = "ORBITOPE_MAX_N must be a positive integer, got 5000 digits, more than int() converts"
+    with pytest.raises(ValueError) as info:
+        brute_force_bound()
+    assert str(info.value) == message
+
+
 def test_chamber_census_examples():
     census = chamber_census(pt(2, 1, 0))
     assert len(census) == 6

@@ -12,6 +12,8 @@ from orbitopes.hopf_algebra import (
     GeneratorMultiset,
     HopfElement,
     TensorElement,
+    _antipode_basis,
+    _coproduct_basis,
     antipode,
     apply_antipode_slot,
     coproduct,
@@ -24,7 +26,7 @@ from orbitopes.hopf_algebra import (
     tensor,
 )
 from orbitopes.hopf_monoid import class_of, delta
-from oracles import face_antipode, recursive_antipode
+from oracles import face_antipode, partition_multisets, recursive_antipode
 
 C = Composition
 F = Fraction
@@ -43,6 +45,31 @@ def test_generator_multiset_validation():
     with pytest.raises(ValueError, match="generator"):
         gm((3,))
     assert gm((2, 1), (1,)).members == gm((1,), (2, 1)).members
+    # the public element constructors coerce plain tuple keys and refuse non-generators
+    x = HopfElement({((2, 1), (1,)): 1})
+    assert x == elem((1,), (2, 1))
+    assert all(type(a) is Composition for key in x.coeffs for a in key)
+    t = TensorElement({(((2, 1), (1,)), ()): 1})
+    assert t == TensorElement({(gm((1,), (2, 1)), EMPTY_MULTISET): 1})
+    with pytest.raises(ValueError, match="generator"):
+        HopfElement({((3,),): 1})
+    with pytest.raises(ValueError, match="generator"):
+        TensorElement({(((3,),), ()): 1})
+
+
+def test_union_is_the_validating_constructor():
+    rng = random.Random(7)
+    pool = generator_multisets(6)
+    for _ in range(200):
+        a, b = rng.choice(pool), rng.choice(pool)
+        merged = a.union(b)
+        assert type(merged) is GeneratorMultiset and merged == GeneratorMultiset(a + b), (a, b)
+
+
+def test_generator_multisets_match_partition_oracle():
+    for degree in range(9):
+        assert generator_multisets(degree) == partition_multisets(degree), degree
+    assert len(generator_multisets(11)) == 9391
 
 
 def test_inject_examples():
@@ -223,3 +250,40 @@ def test_hopf_element_json_roundtrip():
     x = 2 * elem((1, 2), (1,)) + F(-1, 3) * HopfElement.unit()
     data = x.to_json()
     assert HopfElement.from_json(data) == x
+
+
+def _assert_trusted(coeffs: dict, arity: int = 0):
+    # what the trusted constructors rely on: nonzero Fractions on sorted generator multisets
+    for key, value in coeffs.items():
+        assert type(value) is Fraction and value != 0, (key, value)
+        for gm in (key if arity else (key,)):
+            assert type(gm) is GeneratorMultiset and list(gm) == sorted(gm), key
+            assert all(is_generator(alpha) for alpha in gm), key
+        assert not arity or len(key) == arity, key
+
+
+def test_public_maps_build_trusted_elements():
+    rng = random.Random(29)
+    pool = generator_multisets(8)
+    assert len(pool) == 730
+    scalars = [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7)) for _ in pool]
+    assert any(c < 0 for c in scalars) and any(c.denominator > 1 for c in scalars)
+    elements = [c * HopfElement.basis(m) for c, m in zip(scalars, pool)]
+    for x, y in zip(elements, elements[1:] + elements[:1]):
+        cp = coproduct(x)
+        _assert_trusted(antipode(x).coeffs)
+        _assert_trusted(cp.coeffs, 2)
+        _assert_trusted(product(x, y).coeffs)
+        _assert_trusted(coproduct_in_slot(cp, 1).coeffs, 3)
+        _assert_trusted(apply_antipode_slot(cp, 0).coeffs, 2)
+        _assert_trusted(multiply_slots(cp).coeffs)
+
+
+def test_basis_caches_are_bounded_and_hold_integers():
+    basis = generator_multisets(5)
+    for cache in (_coproduct_basis, _antipode_basis):
+        # the warm pass over every multiset of degree <= 9 must stay all hits
+        assert cache.cache_info().maxsize is not None
+        assert cache.cache_info().maxsize >= len(generator_multisets(9))
+        for gm in basis:
+            assert all(type(v) is int and v for v in cache(gm).values()), gm
