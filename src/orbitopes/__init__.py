@@ -7,7 +7,6 @@ from .compositions import (
     iterated_restrict,
     multinomial,
     near_concat,
-    refinements,
     restrict_contract,
     splits,
 )

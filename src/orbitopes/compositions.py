@@ -88,7 +88,6 @@ def splits(alpha: Composition) -> tuple[tuple[Composition, Composition], ...]:
     return tuple(cuts)
 
 
-@lru_cache(maxsize=None)
 def restrict_contract(alpha: Composition, i: int) -> tuple[Composition, Composition]:
     """Cut ``alpha`` after total weight ``i``: the i-th entry of splits(alpha).
 
@@ -124,16 +123,6 @@ def iterated_restrict(alpha: Composition, sizes: Sequence[int]) -> list[Composit
         piece, rest = restrict_contract(rest, s)
         pieces.append(piece)
     return pieces
-
-
-def refinements(alpha: Composition) -> list[Composition]:
-    """All compositions obtained by splitting each part of ``alpha`` in place."""
-    if not alpha:
-        return [EMPTY]
-    out = [EMPTY]
-    for part in alpha:
-        out = [concat(prefix, piece) for prefix in out for piece in compositions_of(part)]
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -185,23 +185,6 @@ class SubmodularOracle:
     def __call__(self, S: Iterable[str]) -> Fraction:
         return self.values[frozenset(S)]
 
-    def is_submodular(self) -> bool:
-        """Exhaustive check of z(S&T) + z(S|T) <= z(S) + z(T) over all pairs."""
-        sets = list(self.values)
-        for S in sets:
-            for T in sets:
-                if self.values[S & T] + self.values[S | T] > self.values[S] + self.values[T]:
-                    return False
-        return True
-
-    def is_cardinality_invariant(self) -> bool:
-        """True iff z(S) depends only on |S|."""
-        by_size: dict[int, Fraction] = {}
-        for S, v in self.values.items():
-            if by_size.setdefault(len(S), v) != v:
-                return False
-        return True
-
 
 def sorted_values(p: Point) -> tuple[Fraction, ...]:
     return tuple(sorted(p.values, reverse=True))

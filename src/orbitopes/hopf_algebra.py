@@ -315,22 +315,6 @@ def antipode(x: HopfElement) -> HopfElement:
     ))
 
 
-def apply_antipode_slot(t: TensorElement, slot: int) -> TensorElement:
-    """Replace one tensor slot by its antipode (used to state the defining identity)."""
-    return TensorElement._of(_linear(
-        (key[:slot] + (gm,) + key[slot + 1:], v * w)
-        for key, v in t.coeffs.items()
-        for gm, w in _antipode_basis(key[slot]).items()
-    ), t.arity)
-
-
-def multiply_slots(t: TensorElement) -> HopfElement:
-    """Multiply all tensor slots back down to the algebra."""
-    return HopfElement._of(_linear(
-        (_multiset(chain.from_iterable(key)), v) for key, v in t.coeffs.items()
-    ))
-
-
 def generator_multisets(max_degree: int) -> list[GeneratorMultiset]:
     """All basis multisets of total weight <= max_degree, by degree."""
     generators: list[Composition] = []

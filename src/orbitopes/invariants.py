@@ -5,11 +5,13 @@ basis in closed form: refining a part a into j pieces contributes, summed
 over the refinements, the surjection number j! S(a, j), so the
 coefficients are the multinomial of the class times the convolution of
 one surjection row per part.  ``chi_bruteforce`` recomputes it from first
-principles by splitting the labeled class along every ordered set
-partition and reading off which splits land entirely on points.  It walks
-the partitions depth first over their first block, splitting each prefix
-once, and skips every partition whose first block already leaves a factor
-that is not a product of points.  The two must agree, and the test suite
+principles by counting the ordered set partitions of the labeled class
+whose iterated splits land entirely on points.  It splits off every
+nonempty first block with ``delta``, drops a first block whose factor is
+not a product of points, and recounts the rest the same way.  The count
+of what is left depends only on the multiset of its block compositions,
+so each such shape is counted once per call: a single class of weight n
+costs 2^(n+1) - n - 2 splits.  The two must agree, and the test suite
 holds them to that.
 """
 
@@ -185,23 +187,33 @@ def chi_bruteforce_element(x: OrbitClassElement) -> BinomialPolynomial:
 
     Each ordered partition into k nonempty parts contributes the product
     of the point-counting character over the factors of the iterated
-    split, as the coefficient of binom(t, k).  The partitions are walked
-    depth first over their first block: each prefix is split once with
-    ``delta``, and a first block whose factor is not a product of points
-    kills every partition that starts with it, so its subtree is skipped.
+    split, as the coefficient of binom(t, k).  The partitions are counted
+    over their first block: every nonempty first block is split off with
+    ``delta``, one whose factor is not a product of points starts no
+    all-point partition, and each other one adds the counts of its tail,
+    shifted by one block.  ``delta`` reads only the overlap size of each
+    block and the point test only the compositions, so the counts of a
+    tail depend only on its shape, the sorted block compositions, and
+    each shape is counted once.
     """
     _check_bound(len(x.ground), CHI_BOUND)
-    counts = [0] * (len(x.ground) + 1)  # counts[k]: all-point partitions into k blocks
-    stack = [(x, 0)]  # the element left to split, and the number of blocks taken so far
-    while stack:
-        rest, k = stack.pop()
+    memo: dict[tuple[Composition, ...], list[int]] = {}
+
+    def counts(rest: OrbitClassElement) -> list[int]:
+        # counts(rest)[k]: all-point ordered partitions of rest into k blocks
         if not rest.ground:
-            counts[k] += 1
-            continue
-        labels = sorted(rest.ground)
-        for size in range(1, len(labels) + 1):
-            for part in combinations(labels, size):
-                factor, tail = delta(rest, part)
-                if not any(len(block) > 1 for block, _ in factor.blocks):
-                    stack.append((tail, k + 1))
-    return BinomialPolynomial(dict(enumerate(counts)))
+            return [1]
+        shape = tuple(sorted(comp for _, comp in rest.blocks))
+        if shape not in memo:
+            row = [0] * (len(rest.ground) + 1)
+            labels = sorted(rest.ground)
+            for size in range(1, len(labels) + 1):
+                for part in combinations(labels, size):
+                    factor, tail = delta(rest, part)
+                    if not any(len(block) > 1 for block, _ in factor.blocks):
+                        for k, c in enumerate(counts(tail)):
+                            row[k + 1] += c
+            memo[shape] = row
+        return memo[shape]
+
+    return BinomialPolynomial(dict(enumerate(counts(x))))

@@ -8,17 +8,20 @@ formula on the characters themselves, the antipode from the degree
 recursion on whole multisets or from the faces of the orbit polytope
 (Aguiar-Ardila's cancellation-free formula), the basis multisets from one
 generator per part of each integer partition, the invariant chi from the
-sum over every refinement, and structure counts from the recurrence on
-the block holding the last label or from a literal sum over set
-partitions.  Set partitions and ordered set partitions are enumerated
-recursively here, for the tests alone.  The generating-function
-coefficients of the structure counts have one copy,
-``orbitopes.selftest.egf_counts``, which the tests import.
+sum over every refinement or from a depth-first walk over every ordered
+set partition, and structure counts from the recurrence on the block
+holding the last label or from a literal sum over set partitions.  Set
+partitions and ordered set partitions are enumerated recursively here,
+for the tests alone.  The refinements of a composition, the exhaustive
+checks on a submodular function, and the slotwise antipode and product
+that state the antipode identity live here too, as only tests use them.
+The generating-function coefficients of the structure counts have one
+copy, ``orbitopes.selftest.egf_counts``, which the tests import.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, product as cartesian
+from itertools import accumulate, chain, combinations, product as cartesian
 from math import comb
 
 from orbitopes.characters import Character, NSymSeries, ribbon_mul
@@ -29,11 +32,21 @@ from orbitopes.compositions import (
     iterated_restrict,
     multinomial,
     near_concat,
-    refinements,
     splits,
 )
-from orbitopes.geometry import Point, orbit_vertices
-from orbitopes.hopf_algebra import GeneratorMultiset, HopfElement, _class, coproduct, product
+from orbitopes.geometry import Point, SubmodularOracle, orbit_vertices
+from orbitopes.hopf_algebra import (
+    GeneratorMultiset,
+    HopfElement,
+    TensorElement,
+    _antipode_basis,
+    _class,
+    _linear,
+    _multiset,
+    coproduct,
+    product,
+)
+from orbitopes.hopf_monoid import OrbitClassElement, delta
 from orbitopes.invariants import BinomialPolynomial
 
 
@@ -49,6 +62,14 @@ def brute_force_splits(alpha):
                 elif beta and gamma and near_concat(beta, gamma) == alpha:
                     found.append((i, beta, gamma, "near"))
     return found
+
+
+def refinements(alpha: Composition) -> list[Composition]:
+    """All compositions obtained by splitting each part of ``alpha`` in place."""
+    out = [Composition()]
+    for part in alpha:
+        out = [concat(prefix, piece) for prefix in out for piece in compositions_of(part)]
+    return out
 
 
 def set_partitions(items):
@@ -114,6 +135,25 @@ def naive_max_face(p: Point, y) -> set:
     return winners
 
 
+def is_submodular(z: SubmodularOracle) -> bool:
+    """Exhaustive check of z(S&T) + z(S|T) <= z(S) + z(T) over all pairs."""
+    sets = list(z.values)
+    for S in sets:
+        for T in sets:
+            if z.values[S & T] + z.values[S | T] > z.values[S] + z.values[T]:
+                return False
+    return True
+
+
+def is_cardinality_invariant(z: SubmodularOracle) -> bool:
+    """True iff z(S) depends only on |S|."""
+    by_size: dict[int, Fraction] = {}
+    for S, v in z.values.items():
+        if by_size.setdefault(len(S), v) != v:
+            return False
+    return True
+
+
 def eval_monomial(coeffs, t) -> Fraction:
     t = Fraction(t)
     acc = Fraction(0)
@@ -151,6 +191,22 @@ def convolve_value(zeta: Character, psi: Character, alpha: Composition) -> Fract
     for beta, gamma in splits(alpha):
         total += comb(n, beta.weight) * zeta.on_composition(beta) * psi.on_composition(gamma)
     return total
+
+
+def apply_antipode_slot(t: TensorElement, slot: int) -> TensorElement:
+    """Replace one tensor slot by its antipode (used to state the defining identity)."""
+    return TensorElement._of(_linear(
+        (key[:slot] + (gm,) + key[slot + 1:], v * w)
+        for key, v in t.coeffs.items()
+        for gm, w in _antipode_basis(key[slot]).items()
+    ), t.arity)
+
+
+def multiply_slots(t: TensorElement) -> HopfElement:
+    """Multiply all tensor slots back down to the algebra."""
+    return HopfElement._of(_linear(
+        (_multiset(chain.from_iterable(key)), v) for key, v in t.coeffs.items()
+    ))
 
 
 @lru_cache(maxsize=None)
@@ -224,6 +280,29 @@ def refinement_chi(alpha: Composition) -> BinomialPolynomial:
         k = len(gamma)
         out[k] = out.get(k, Fraction(0)) + multinomial(n, gamma)
     return BinomialPolynomial(out)
+
+
+def walk_chi(x: OrbitClassElement) -> BinomialPolynomial:
+    """chi of an element by a depth-first walk over every all-point ordered set partition.
+
+    Each prefix is split once with ``delta``; a first block whose factor
+    is not a product of points kills every partition that starts with it,
+    so its subtree is skipped.  Nothing is shared between subtrees.
+    """
+    counts = [0] * (len(x.ground) + 1)  # counts[k]: all-point partitions into k blocks
+    stack = [(x, 0)]  # the element left to split, and the number of blocks taken so far
+    while stack:
+        rest, k = stack.pop()
+        if not rest.ground:
+            counts[k] += 1
+            continue
+        labels = sorted(rest.ground)
+        for size in range(1, len(labels) + 1):
+            for part in combinations(labels, size):
+                factor, tail = delta(rest, part)
+                if not any(len(block) > 1 for block, _ in factor.blocks):
+                    stack.append((tail, k + 1))
+    return BinomialPolynomial(dict(enumerate(counts)))
 
 
 def recurrence_count(n: int) -> int:

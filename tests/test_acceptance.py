@@ -36,19 +36,17 @@ from orbitopes.hopf_algebra import (
     HopfElement,
     TensorElement,
     antipode,
-    apply_antipode_slot,
     coproduct,
     coproduct_in_slot,
     counit,
     generator_multisets,
-    multiply_slots,
     product as halg_product,
     inject,
 )
 from orbitopes.hopf_monoid import count_structures
 from orbitopes.invariants import BinomialPolynomial, chi, to_monomial
 from orbitopes.selftest import egf_counts, random_character, random_point, suite_chi, suite_delta_geometry
-from oracles import pairwise_series_mul
+from oracles import apply_antipode_slot, multiply_slots, pairwise_series_mul
 
 C = Composition
 F = Fraction

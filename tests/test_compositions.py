@@ -11,11 +11,10 @@ from orbitopes.compositions import (
     iterated_restrict,
     multinomial,
     near_concat,
-    refinements,
     restrict_contract,
     splits,
 )
-from oracles import brute_force_splits
+from oracles import brute_force_splits, refinements
 
 C = Composition
 

@@ -26,7 +26,7 @@ from orbitopes.geometry import (
     vertex_count,
 )
 from orbitopes.selftest import random_point, suite_normal_equivalence
-from oracles import naive_max_face
+from oracles import is_cardinality_invariant, is_submodular, naive_max_face
 
 C = Composition
 F = Fraction
@@ -174,8 +174,8 @@ def test_submodular_of_orbit_examples():
 @given(st_point)
 def test_submodular_oracle_properties(p):
     z = submodular_of_orbit(p)
-    assert z.is_submodular()
-    assert z.is_cardinality_invariant()
+    assert is_submodular(z)
+    assert is_cardinality_invariant(z)
 
 
 def test_submodular_oracle_validation():

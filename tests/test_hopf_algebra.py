@@ -15,18 +15,22 @@ from orbitopes.hopf_algebra import (
     _antipode_basis,
     _coproduct_basis,
     antipode,
-    apply_antipode_slot,
     coproduct,
     coproduct_in_slot,
     counit,
     generator_multisets,
     inject,
-    multiply_slots,
     product,
     tensor,
 )
 from orbitopes.hopf_monoid import class_of, delta
-from oracles import face_antipode, partition_multisets, recursive_antipode
+from oracles import (
+    apply_antipode_slot,
+    face_antipode,
+    multiply_slots,
+    partition_multisets,
+    recursive_antipode,
+)
 
 C = Composition
 F = Fraction

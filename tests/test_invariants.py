@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from orbitopes.compositions import Composition, compositions_of, multinomial
 from orbitopes.hopf_algebra import antipode, inject
-from orbitopes.hopf_monoid import class_of, mu
+from orbitopes.hopf_monoid import OrbitClassElement, class_of, delta, mu
 from orbitopes.invariants import (
     CHI_MAX_WEIGHT,
     BinomialPolynomial,
@@ -19,7 +19,7 @@ from orbitopes.invariants import (
     from_monomial,
     to_monomial,
 )
-from oracles import binom_frac, eval_monomial, refinement_chi
+from oracles import binom_frac, eval_monomial, refinement_chi, set_partitions, walk_chi
 
 C = Composition
 F = Fraction
@@ -65,6 +65,56 @@ def test_chi_bruteforce_bound(monkeypatch):
     monkeypatch.setenv("ORBITOPE_MAX_N", "1")
     with pytest.raises(ValueError, match="ground set of size 2 > 1"):
         chi_bruteforce(C((1, 1)))
+
+
+def test_chi_bruteforce_matches_closed_form_through_the_bound():
+    alphas = [alpha for n in range(8) for alpha in compositions_of(n)]
+    assert len(alphas) == 128
+    for alpha in alphas:
+        assert chi_bruteforce(alpha) == chi(alpha), alpha
+
+
+def test_chi_bruteforce_matches_the_walk_on_single_classes():
+    for n in range(7):
+        for alpha in compositions_of(n):
+            x = class_of(alpha, [str(i) for i in range(1, n + 1)])
+            assert chi_bruteforce_element(x) == walk_chi(x), alpha
+
+
+def test_chi_bruteforce_matches_the_walk_on_products():
+    # two blocks may carry the same composition, and a one-part block of
+    # weight >= 2 canonicalizes to singletons
+    rng = random.Random(11)
+    one_part_blocks = 0
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        labels = rng.sample([f"{c}{i}" for c in "abxy" for i in range(1, 9)], n)
+        partitions = list(set_partitions(labels))
+        blocks = []
+        for block in rng.choice(partitions):
+            comp = rng.choice(compositions_of(len(block)))
+            one_part_blocks += len(comp) == 1 and len(block) >= 2
+            blocks.append((block, comp))
+        x = OrbitClassElement(labels, blocks)
+        assert chi_bruteforce_element(x) == walk_chi(x), x
+    assert one_part_blocks >= 10
+
+
+def test_chi_bruteforce_split_count(monkeypatch):
+    # one tail shape per remaining weight: sum over m = 1..n of 2^m - 1 splits
+    calls = 0
+
+    def counting_delta(x, S):
+        nonlocal calls
+        calls += 1
+        return delta(x, S)
+
+    monkeypatch.setattr("orbitopes.invariants.delta", counting_delta)
+    for n in range(1, 8):
+        for alpha in compositions_of(n):
+            calls = 0
+            chi_bruteforce(alpha)
+            assert calls == 2 ** (n + 1) - n - 2, alpha
 
 
 def test_chi_matches_refinement_sum():
