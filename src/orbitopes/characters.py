@@ -11,16 +11,16 @@ functions: coefficients c_beta are the character values divided by
 |beta|!, and the image is exactly the series with c_empty = 1 and
 n! c_(n) = c_(1)^n.  Convolution and inversion of characters go through
 that realization, so the series product and the series inverse carry all
-the work.  Both rest on one cut kernel: the pairs (beta, gamma) whose
-ribbon product contains alpha are exactly the |alpha| + 1 cuts of alpha.
+the work.  Both rest on one pair kernel: each pair of terms (beta, gamma)
+adds into the concatenation and near-concatenation of R_beta R_gamma.
 
 The kernel runs on integers.  Inside it a series is a list of rows, one
 per weight n: a positive denominator D_n and a dict from each composition
 of weight n to an integer numerator, so the coefficient on alpha is
-numerator / D_n.  A product row is summed over the lcm of the cut
-denominators, an inverse row over c0 times that lcm; ``Fraction`` appears
-only where a row is read from or written to a public ``NSymSeries`` or
-``Character``.
+numerator / D_n.  A product row is summed over the lcm of the products of
+the input rows' denominators, an inverse row over c0 times that lcm;
+``Fraction`` appears only where a row is read from or written to a public
+``NSymSeries`` or ``Character``.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Mapping
 
-from .compositions import (EMPTY, ONE, Composition, compositions_of, concat, is_generator,
-                           near_concat, splits)
+from .compositions import EMPTY, ONE, Composition, _piece, concat, is_generator, near_concat
 from .hopf_monoid import OrbitClassElement
 from .jsonio import composition_from_json, composition_to_json, frac_from_str, frac_to_str
 
@@ -248,51 +247,44 @@ def _series(rows: list[_Row]) -> NSymSeries:
     })
 
 
-def _cut_row(left: list[_Row], right: list[_Row], n: int, first: int = 0) -> _Row:
-    """Weight-n row of the sum of left[beta] * right[gamma] over the cuts of each alpha.
+def _pair_row(left: list[_Row], right: list[_Row], n: int, first: int = 0) -> _Row:
+    """Weight-n row of the sum of left[beta] * right[gamma] * R_beta R_gamma.
 
-    Only cuts from left weight ``first`` on are summed, and only at cut weights
-    where both rows are nonempty.  The row's denominator is the lcm of the
-    products of those rows' denominators; each cut is scaled up to it.
+    Only left weights from ``first`` on count, and only where both rows are
+    nonempty; the row is over the lcm of the products of their denominators.
     """
-    active = []
-    for i in range(first, n + 1):
-        (dl, nl), (dr, nr) = left[i], right[n - i]
-        if nl and nr:
-            active.append((i, nl, nr, dl * dr))
-    den = lcm(*(d for *_, d in active))
-    active = [(i, nl, nr, den // d) for i, nl, nr, d in active]
-    row = {}
-    if active:
-        for alpha in compositions_of(n):
-            cuts = splits(alpha)
-            total = 0
-            for i, nl, nr, scale in active:
-                beta, gamma = cuts[i]
-                lb = nl.get(beta)
-                if lb:
-                    rg = nr.get(gamma)
-                    if rg:
-                        total += lb * rg * scale
-            if total:
-                row[alpha] = total
-    return den, row
+    active = [(left[i], right[n - i]) for i in range(first, n + 1)
+              if left[i][1] and right[n - i][1]]
+    den = lcm(*(dl * dr for (dl, _), (dr, _) in active))
+    acc = {}
+    for (dl, nl), (dr, nr) in active:
+        scale = den // (dl * dr)
+        for beta, lb in nl.items():
+            lb *= scale
+            for gamma, rg in nr.items():
+                term = lb * rg
+                key = beta + gamma
+                acc[key] = acc.get(key, 0) + term
+                if beta and gamma:
+                    key = beta[:-1] + (beta[-1] + gamma[0],) + gamma[1:]
+                    acc[key] = acc.get(key, 0) + term
+    return den, {_piece(alpha): total for alpha, total in acc.items() if total}
 
 
 def _product_rows(f: list[_Row], g: list[_Row]) -> list[_Row]:
-    return [_cut_row(f, g, n) for n in range(len(f))]
+    return [_pair_row(f, g, n) for n in range(len(f))]
 
 
 def _inverse_rows(f: list[_Row]) -> list[_Row]:
     # c0 = p / q with p > 0; weight n solves (f * inv)[alpha] = 0 from the weights below,
-    # where the cut with an empty left part contributes c0 * inv[alpha]
+    # where the pairs with an empty left part contribute c0 * inv[alpha]
     q, row = f[0]
     p = row[EMPTY]
     if p < 0:
         p, q = -p, -q
     inv = [(p, {EMPTY: q})]
     for n in range(1, len(f)):
-        den, row = _cut_row(f, inv, n, 1)
+        den, row = _pair_row(f, inv, n, 1)
         den *= p
         row = {alpha: -q * num for alpha, num in row.items()}
         common = gcd(den, *row.values())
@@ -303,7 +295,7 @@ def _inverse_rows(f: list[_Row]) -> list[_Row]:
 def series_mul(f: NSymSeries, g: NSymSeries) -> NSymSeries:
     """Bilinear extension of the basis product, truncated to the common degree.
 
-    Computed output-first: the coefficient on alpha is one cut sum.
+    Computed input-first: each pair of terms adds into the one or two ribbons of its product.
     """
     if f.degree != g.degree:
         raise ValueError("truncation degrees differ")

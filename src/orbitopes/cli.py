@@ -35,9 +35,9 @@ from .jsonio import composition_from_json, composition_to_json, frac_from_str, f
 from .selftest import run_selftest
 
 
-# largest degree the graded-algebra and series subcommands accept: a composition's
-# weight, an element term's degree, a character's or series' truncation degree;
-# their work grows exponentially with it
+# largest degree the graded-algebra and series subcommands accept (a composition's weight,
+# an element term's degree, a truncation degree); the work of antipode, convolve and series-inv
+# grows exponentially with it, series-mul's with the pairs of input terms; coproduct has n + 1 terms
 MAX_DEGREE = 12
 
 
@@ -81,7 +81,7 @@ def _parse_composition(text: str):
         raise SchemaError(f"composition: {exc}") from exc
 
 
-def _parse_functional(text: str, point: Point) -> dict:
+def _parse_functional(text: str) -> dict:
     data = _parse_json(text, "functional")
     if not isinstance(data, dict):
         raise SchemaError("functional: expected a JSON object of label -> rational")
@@ -117,7 +117,7 @@ def cmd_vertices(args) -> dict:
 
 def cmd_maxface(args) -> dict:
     p = _parse_point(args.point[0])
-    y = _parse_functional(args.functional, p)
+    y = _parse_functional(args.functional)
     if set(y) != set(p.ground):
         raise SchemaError("functional: must be defined on exactly the point's labels")
     return {"vertices": _points_sorted(max_face_vertices(p, y))}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
+from operator import index
 from typing import Iterable, Sequence
 
 
@@ -27,7 +28,10 @@ class Composition(tuple):
     def __new__(cls, parts: Iterable[int] = ()):
         if type(parts) is cls:
             return parts  # already validated, and immutable: as tuple(t) is t
-        self = tuple.__new__(cls, map(int, parts))
+        try:
+            self = tuple.__new__(cls, map(index, parts))
+        except TypeError:
+            raise ValueError(f"composition parts must be integers, got {parts!r}") from None
         if min(self, default=1) < 1:
             raise ValueError(f"composition parts must be positive, got {tuple(self)}")
         return self
@@ -47,7 +51,7 @@ class Composition(tuple):
 EMPTY = Composition()
 ONE = Composition((1,))
 
-# trusted constructor for pieces cut from a valid composition: no re-validation
+# trusted constructor for pieces cut from, or joined of, valid compositions: no re-validation
 _piece = partial(tuple.__new__, Composition)
 
 
@@ -68,7 +72,7 @@ def near_concat(beta: Composition, gamma: Composition) -> Composition:
     return Composition(beta[:-1] + (beta[-1] + gamma[0],) + gamma[1:])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # every composition of weight <= 12
 def splits(alpha: Composition) -> tuple[tuple[Composition, Composition], ...]:
     """All cuts of ``alpha``, one per left weight i = 0..|alpha|.
 

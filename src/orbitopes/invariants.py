@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
+from operator import index
 from typing import Iterable, Mapping
 
 from .compositions import Composition, multinomial
@@ -37,7 +38,10 @@ class BinomialPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[int, Fraction] = ()):
-        coeffs = {int(k): Fraction(v) for k, v in dict(coeffs).items()}
+        try:
+            coeffs = {index(k): Fraction(v) for k, v in dict(coeffs).items()}
+        except TypeError:
+            raise ValueError(f"binomial-basis terms must map integers to rationals, got {coeffs!r}") from None
         if any(k < 0 for k in coeffs):
             raise ValueError("binomial-basis indices must be nonnegative")
         self.coeffs = {k: v for k, v in coeffs.items() if v}

@@ -3,20 +3,21 @@
 Nothing here reuses the code path it checks: splits are found by
 exhaustive pair search, maximal faces from argmax over all vertices,
 polynomial identities from pointwise evaluation, the series product from
-every pair of coefficients, convolution values from the binomial cut
-formula on the characters themselves, the antipode from the degree
-recursion on whole multisets or from the faces of the orbit polytope
-(Aguiar-Ardila's cancellation-free formula), the basis multisets from one
-generator per part of each integer partition, the invariant chi from the
-sum over every refinement or from a depth-first walk over every ordered
-set partition, and structure counts from the recurrence on the block
-holding the last label or from a literal sum over set partitions.  Set
-partitions and ordered set partitions are enumerated recursively here,
-for the tests alone.  The refinements of a composition, the exhaustive
-checks on a submodular function, and the slotwise antipode and product
-that state the antipode identity live here too, as only tests use them.
-The generating-function coefficients of the structure counts have one
-copy, ``orbitopes.selftest.egf_counts``, which the tests import.
+every pair of coefficients or from the cuts of every output composition,
+convolution values from the binomial cut formula on the characters
+themselves, the antipode from the degree recursion on whole multisets or
+from the faces of the orbit polytope (Aguiar-Ardila's cancellation-free
+formula), the basis multisets from one generator per part of each
+integer partition, the invariant chi from the sum over every refinement
+or from a depth-first walk over every ordered set partition, and
+structure counts from the recurrence on the block holding the last label
+or from a literal sum over set partitions.  Set partitions and ordered
+set partitions are enumerated recursively here, for the tests alone.
+The refinements of a composition, the exhaustive checks on a submodular
+function, and the slotwise antipode and product that state the antipode
+identity live here too, as only tests use them.  The generating-function
+coefficients of the structure counts have one copy,
+``orbitopes.selftest.egf_counts``, which the tests import.
 """
 
 from fractions import Fraction
@@ -181,6 +182,22 @@ def pairwise_series_mul(f: NSymSeries, g: NSymSeries) -> NSymSeries:
                 continue
             for alpha in ribbon_mul(beta, gamma):
                 out[alpha] = out.get(alpha, Fraction(0)) + fb * gc
+    return NSymSeries(f.degree, out)
+
+
+def cut_series_mul(f: NSymSeries, g: NSymSeries) -> NSymSeries:
+    """The series product output-first: the coefficient on alpha sums f[beta] g[gamma] over its cuts.
+
+    Every composition of weight <= degree is visited, so the cost is 2^degree
+    whatever the supports.
+    """
+    if f.degree != g.degree:
+        raise ValueError("truncation degrees differ")
+    out: dict[Composition, Fraction] = {}
+    for n in range(f.degree + 1):
+        for alpha in compositions_of(n):
+            out[alpha] = sum((f.coefficient(beta) * g.coefficient(gamma)
+                              for beta, gamma in splits(alpha)), Fraction(0))
     return NSymSeries(f.degree, out)
 
 

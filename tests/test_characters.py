@@ -19,7 +19,7 @@ from orbitopes.characters import (
 from orbitopes.compositions import Composition, compositions_of, is_generator
 from orbitopes.hopf_monoid import class_of, mu
 from orbitopes.selftest import random_character
-from oracles import convolve_value, pairwise_series_mul
+from oracles import convolve_value, cut_series_mul, pairwise_series_mul
 
 C = Composition
 F = Fraction
@@ -207,8 +207,18 @@ def test_series_kernel_matches_pairwise_oracle():
         for density in (1.0, 0.2):
             f = random_invertible_series(rng, degree, density)
             g = random_invertible_series(rng, degree, density)
-            assert series_mul(f, g) == pairwise_series_mul(f, g)
+            assert series_mul(f, g) == pairwise_series_mul(f, g) == cut_series_mul(f, g)
             assert pairwise_series_mul(f, series_inverse(f)) == NSymSeries.unit(degree)
+
+
+def test_sparse_square_at_degree_30():
+    # 2^29 compositions of the top weight, but only 9 pairs of input terms
+    f = NSymSeries(30, {C(()): 1, C((1,)): F(1, 2), C((29,)): 3})
+    expected = NSymSeries(30, {
+        C(()): 1, C((1,)): 1, C((1, 1)): F(1, 4), C((2,)): F(1, 4), C((29,)): 6,
+        C((1, 29)): F(3, 2), C((29, 1)): F(3, 2), C((30,)): 3,
+    })
+    assert series_mul(f, f) == expected == pairwise_series_mul(f, f)
 
 
 def assert_normalized(values):
@@ -220,7 +230,7 @@ def assert_normalized(values):
 
 def check_series_kernel(f: NSymSeries, g: NSymSeries) -> None:
     product = series_mul(f, g)
-    assert product == pairwise_series_mul(f, g)
+    assert product == pairwise_series_mul(f, g) == cut_series_mul(f, g)
     assert_normalized(product.coeffs)
     if f.coefficient(C(())):
         inverse = series_inverse(f)
@@ -324,6 +334,8 @@ def test_character_validation():
     for make in (NSymSeries, Character):
         with pytest.raises(ValueError, match="positive"):
             make(3, {(0, 1): 1})
+        with pytest.raises(ValueError, match="integers"):
+            make(3, {(1.5, 1.5): 1})
 
 
 def test_series_json_roundtrip():

@@ -37,6 +37,10 @@ def test_composition_basics():
     assert C((1, 2)) != C((2, 1))
     with pytest.raises(ValueError):
         C((1, 0))
+    # parts must be integers: nothing is truncated
+    for parts in ([1.5, 2.9], "12", [1, 2.0], 5):
+        with pytest.raises(ValueError, match="integers"):
+            C(parts)
 
 
 def test_concat_examples():

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from orbitopes.compositions import Composition, compositions_of, is_generator
+from orbitopes.compositions import Composition, compositions_of, is_generator, splits
 from orbitopes.enumeration import subsets
 from orbitopes.geometry import orbit_vertices, representative_point, standard_ground
 from orbitopes.hopf_algebra import (
@@ -284,6 +284,8 @@ def test_public_maps_build_trusted_elements():
 
 
 def test_basis_caches_are_bounded_and_hold_integers():
+    # the cuts behind each generator's coproduct: room for every composition of weight <= 12
+    assert splits.cache_info().maxsize == sum(len(compositions_of(n)) for n in range(13)) == 4096
     basis = generator_multisets(5)
     for cache in (_coproduct_basis, _antipode_basis):
         # the warm pass over every multiset of degree <= 9 must stay all hits

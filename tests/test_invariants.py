@@ -223,6 +223,8 @@ def test_polynomial_ring_operations_agree_with_evaluation(c1, c2):
 def test_binomial_polynomial_validation_and_json():
     with pytest.raises(ValueError):
         BinomialPolynomial({-1: F(1)})
+    with pytest.raises(ValueError, match="integers"):
+        BinomialPolynomial({2.7: 1})
     p = BinomialPolynomial({0: F(1, 2), 3: F(4)})
     data = p.to_json(monomial=True)
     assert data["binomial"] == {"0": "1/2", "3": "4"}
