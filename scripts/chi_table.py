@@ -10,7 +10,8 @@ force and compared; the exit code is 1 if any row mismatches.
 import argparse
 
 from orbitopes.compositions import compositions_of
-from orbitopes.invariants import chi, chi_bruteforce, to_monomial
+from orbitopes.geometry import brute_force_bound
+from orbitopes.invariants import CHI_BOUND, chi, chi_bruteforce, to_monomial
 
 
 def monomial_str(coeffs) -> str:
@@ -32,6 +33,15 @@ def main():
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--check", action="store_true")
     args = parser.parse_args()
+    if args.n < 0:
+        parser.error(f"--n must be nonnegative, got {args.n}")
+    if args.check:
+        try:
+            bound = brute_force_bound(CHI_BOUND)
+        except ValueError as exc:
+            parser.error(str(exc))
+        if args.n > bound:
+            parser.error(f"--n {args.n} exceeds the recount bound {bound} of --check")
 
     mismatches = 0
     for alpha in compositions_of(args.n):

@@ -65,30 +65,27 @@ def _parse_json(text: str, what: str):
         raise SchemaError(f"{what}: invalid JSON ({exc})") from exc
 
 
-def _parse_point(text: str) -> Point:
-    data = _parse_json(text, "point")
+def _schema(field: str, convert, data, **kwargs):
+    # a ValueError while reading the payload is a schema error on its field
     try:
-        return Point.from_json(data)
+        return convert(data, **kwargs)
     except ValueError as exc:
-        raise SchemaError(f"point: {exc}") from exc
+        raise SchemaError(f"{field}: {exc}") from exc
+
+
+def _parse_point(text: str) -> Point:
+    return _schema("point", Point.from_json, _parse_json(text, "point"))
 
 
 def _parse_composition(text: str):
-    data = _parse_json(text, "composition")
-    try:
-        return composition_from_json(data)
-    except ValueError as exc:
-        raise SchemaError(f"composition: {exc}") from exc
+    return _schema("composition", composition_from_json, _parse_json(text, "composition"))
 
 
 def _parse_functional(text: str) -> dict:
     data = _parse_json(text, "functional")
     if not isinstance(data, dict):
         raise SchemaError("functional: expected a JSON object of label -> rational")
-    try:
-        return {str(k): frac_from_str(v) for k, v in data.items()}
-    except ValueError as exc:
-        raise SchemaError(f"functional: {exc}") from exc
+    return _schema("functional", lambda d: {str(k): frac_from_str(v) for k, v in d.items()}, data)
 
 
 def _load_json_file(path: str, what: str):
@@ -167,11 +164,7 @@ def cmd_coproduct(args) -> dict:
 
 
 def cmd_antipode(args) -> dict:
-    data = _parse_json(args.element, "element")
-    try:
-        x = HopfElement.from_json(data)
-    except ValueError as exc:
-        raise SchemaError(f"element: {exc}") from exc
+    x = _schema("element", HopfElement.from_json, _parse_json(args.element, "element"))
     _check_degree_bound(max((gm.degree for gm in x.coeffs), default=0))
     return {"element": antipode(x).to_json()}
 
@@ -182,21 +175,17 @@ def cmd_chi(args) -> dict:
 
 
 def cmd_convolve(args) -> dict:
-    try:
-        zeta = Character.from_json(_load_json_file(args.char[0], "char"), degree=args.degree)
-        psi = Character.from_json(_load_json_file(args.char[1], "char"), degree=args.degree)
-    except ValueError as exc:
-        raise SchemaError(f"char: {exc}") from exc
+    zeta, psi = (
+        _schema("char", Character.from_json, _load_json_file(path, "char"), degree=args.degree)
+        for path in args.char
+    )
     _check_degree_bound(min(zeta.degree, psi.degree))
     result = convolve(zeta, psi)
     return {"character": result.to_json(), "series": char_to_series(result).to_json()}
 
 
 def _load_series(path: str) -> NSymSeries:
-    try:
-        f = NSymSeries.from_json(_load_json_file(path, "series"))
-    except ValueError as exc:
-        raise SchemaError(f"series: {exc}") from exc
+    f = _schema("series", NSymSeries.from_json, _load_json_file(path, "series"))
     _check_degree_bound(f.degree)
     return f
 

@@ -12,7 +12,7 @@ hashes exactly as the tuple of its parts.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import partial
 from operator import index
 from typing import Iterable, Sequence
 
@@ -55,6 +55,14 @@ ONE = Composition((1,))
 _piece = partial(tuple.__new__, Composition)
 
 
+def _integer(value, what: str) -> int:
+    # through operator.index, as Composition takes its parts: 1.0 and "1" are refused
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def is_generator(alpha: Composition) -> bool:
     """(1) and every composition of two or more parts; (n) for n >= 2 is a power of (1)."""
     return len(alpha) >= 2 or alpha == (1,)
@@ -72,42 +80,26 @@ def near_concat(beta: Composition, gamma: Composition) -> Composition:
     return Composition(beta[:-1] + (beta[-1] + gamma[0],) + gamma[1:])
 
 
-@lru_cache(maxsize=4096)  # every composition of weight <= 12
-def splits(alpha: Composition) -> tuple[tuple[Composition, Composition], ...]:
-    """All cuts of ``alpha``, one per left weight i = 0..|alpha|.
-
-    The i-th entry is the unique pair (beta, gamma) with beta of weight i
-    such that concat(beta, gamma) or near_concat(beta, gamma) gives back
-    ``alpha``.  A cut that lands between two parts is a concatenation; a
-    cut through the interior of a part is a near-concatenation.
-    """
-    # one walk over the parts; the two end cuts share alpha and EMPTY
-    cuts = [(EMPTY, alpha)]
-    for j, part in enumerate(alpha):
-        head, tail = alpha[:j], alpha[j + 1:]
-        for k in range(1, part):
-            # the cut falls inside part j, splitting it into k and part - k
-            cuts.append((_piece(head + (k,)), _piece((part - k,) + tail)))
-        cuts.append((_piece(alpha[:j + 1]), _piece(tail)) if tail else (alpha, EMPTY))
-    return tuple(cuts)
-
-
 def restrict_contract(alpha: Composition, i: int) -> tuple[Composition, Composition]:
-    """Cut ``alpha`` after total weight ``i``: the i-th entry of splits(alpha).
+    """Cut ``alpha`` after total weight ``i`` into the unique (beta, gamma), beta of
+    weight i, that concat (a cut between parts) or near_concat (a cut through a
+    part) joins back into ``alpha``.
 
     Only the one cut is built, in O(len(alpha)) whatever the weight, so a
     single cut of a composition such as (10**9,) stays cheap.
     """
-    if not 0 <= i <= alpha.weight:
-        raise ValueError(f"cut weight {i} out of range for {alpha}")
-    acc = 0
-    for j, part in enumerate(alpha):
+    i = _integer(i, "cut weight")
+    acc = 0  # the weight of the parts before part j
+    # one pass also checks the range: a negative weight walks no part, and acc ends at |alpha|
+    for j, part in enumerate(alpha if i >= 0 else ()):
         if acc == i:
             return _piece(alpha[:j]), _piece(alpha[j:])
         if acc + part > i:
             # the cut falls inside part j, splitting it in two
             return _piece(alpha[:j] + (i - acc,)), _piece((acc + part - i,) + alpha[j + 1:])
         acc += part
+    if acc != i:
+        raise ValueError(f"cut weight {i} out of range for {alpha}")
     return alpha, EMPTY
 
 
@@ -117,6 +109,7 @@ def iterated_restrict(alpha: Composition, sizes: Sequence[int]) -> list[Composit
     Reassembling the pieces with concatenation (at cuts between parts) and
     near-concatenation (at cuts through a part) recovers ``alpha``.
     """
+    sizes = [_integer(s, "piece size") for s in sizes]
     if any(s < 0 for s in sizes):
         raise ValueError("piece sizes must be nonnegative")
     if sum(sizes) != alpha.weight:
@@ -129,18 +122,22 @@ def iterated_restrict(alpha: Composition, sizes: Sequence[int]) -> list[Composit
     return pieces
 
 
-@lru_cache(maxsize=None)
+def splits(alpha: Composition) -> tuple[tuple[Composition, Composition], ...]:
+    """All cuts of ``alpha``: restrict_contract(alpha, i) for i = 0..|alpha|."""
+    return tuple(restrict_contract(alpha, i) for i in range(alpha.weight + 1))
+
+
 def compositions_of(n: int) -> tuple[Composition, ...]:
     """All 2^(n-1) compositions of n, in lexicographic order on part sequences."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return (EMPTY,)
-    out = []
-    for first in range(1, n + 1):
-        for rest in compositions_of(n - first):
-            out.append(Composition((first,) + rest))
-    return tuple(out)  # lexicographic by construction
+    # rows[m]: the compositions of m, each a first part followed by a composition of the rest
+    rows = [(EMPTY,)]
+    for m in range(1, n + 1):
+        rows.append(tuple(
+            _piece((first,) + rest) for first in range(1, m + 1) for rest in rows[m - first]
+        ))
+    return rows[n]  # lexicographic by construction
 
 
 def multinomial(n: int, gamma: Composition) -> int:

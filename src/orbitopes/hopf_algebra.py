@@ -26,7 +26,7 @@ from itertools import chain
 from math import comb
 from typing import Iterable, Mapping
 
-from .compositions import ONE, Composition, compositions_of, is_generator, splits
+from .compositions import ONE, Composition, _integer, compositions_of, is_generator, splits
 from .jsonio import composition_from_json, composition_to_json, frac_from_str, frac_to_str
 
 
@@ -281,6 +281,9 @@ def coproduct(x: HopfElement) -> TensorElement:
 
 def coproduct_in_slot(t: TensorElement, slot: int) -> TensorElement:
     """Apply the coproduct in one tensor slot, raising the arity by one."""
+    slot = _integer(slot, "slot")
+    if not 0 <= slot < t.arity:
+        raise ValueError(f"slot {slot} out of range for arity {t.arity}")
     return TensorElement._of(_linear(
         (key[:slot] + inner + key[slot + 1:], v * w)
         for key, v in t.coeffs.items()

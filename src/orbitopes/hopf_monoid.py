@@ -82,13 +82,20 @@ class OrbitClassElement:
 
     @classmethod
     def from_json(cls, data) -> "OrbitClassElement":
-        if not isinstance(data, dict) or "ground" not in data or "blocks" not in data:
-            raise ValueError("an element must be a JSON object with 'ground' and 'blocks'")
-        blocks = [
-            (frozenset(b["labels"]), composition_from_json(b["composition"]))
-            for b in data["blocks"]
-        ]
-        return cls(data["ground"], blocks)
+        if not isinstance(data, dict) or "ground" not in data or not isinstance(data.get("blocks"), list):
+            raise ValueError("an element must be a JSON object with 'ground' and a 'blocks' array")
+        blocks = []
+        for b in data["blocks"]:
+            if not (isinstance(b, dict) and "labels" in b and "composition" in b):
+                raise ValueError(f"malformed block {b!r}: expected {{labels, composition}}")
+            blocks.append((_labels_from_json(b["labels"]), composition_from_json(b["composition"])))
+        return cls(_labels_from_json(data["ground"]), blocks)
+
+
+def _labels_from_json(data) -> frozenset:
+    if not isinstance(data, list) or any(not isinstance(l, str) for l in data) or len(set(data)) != len(data):
+        raise ValueError(f"labels must be a JSON array of distinct strings, got {data!r}")
+    return frozenset(data)
 
 
 UNIT = OrbitClassElement((), ())

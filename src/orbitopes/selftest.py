@@ -57,11 +57,9 @@ def egf_counts(max_n: int) -> list[int]:
     fact = [Fraction(1)]
     for i in range(1, n):
         fact.append(fact[-1] * i)
-    inner = [Fraction(0)] * n
-    for k in range(n):
-        inner[k] = (Fraction(2**k, 1) / 2 - 1) / fact[k]
-    inner[0] += Fraction(1, 2)  # constant: 1/2 - 1 + 1/2 = 0
-    inner[1] += 1
+    # e^(2t)/2 - e^t + t + 1/2, term by term; its constant is 1/2 - 1 + 1/2 = 0
+    inner = [(Fraction(2**k, 2) - 1) / fact[k] + (k == 1) for k in range(n)]
+    inner[0] += Fraction(1, 2)
     assert inner[0] == 0
     expanded = _series_exp(inner)
     return [int(expanded[k] * fact[k]) for k in range(n)]

@@ -92,6 +92,11 @@ def test_restrict_contract_examples():
     assert restrict_contract(C((1, 2, 1)), 2) == (C((1, 1)), C((1, 1)))
     with pytest.raises(ValueError, match="out of range"):
         restrict_contract(C((1, 2, 1)), 5)
+    # a cut weight is an integer: an integer-like passes, a float or string is refused, not truncated
+    assert restrict_contract(C((2,)), True) == (C((1,)), C((1,)))
+    for weight in (1.0, 1.5, "1", None):
+        with pytest.raises(ValueError, match="cut weight must be an integer"):
+            restrict_contract(C((2,)), weight)
 
 
 def test_restrict_contract_reads_splits():
@@ -112,6 +117,9 @@ def test_iterated_restrict_examples():
     assert iterated_restrict(C((1, 2, 1)), [0, 4]) == [EMPTY, C((1, 2, 1))]
     with pytest.raises(ValueError, match="sum"):
         iterated_restrict(C((1, 2, 1)), [2, 1])
+    for sizes in ([1.0, 1.0], [2.0, 0], ["1", 1], [None, 2]):
+        with pytest.raises(ValueError, match="piece size must be an integer"):
+            iterated_restrict(C((2,)), sizes)
 
 
 def _reassemble(alpha, sizes, pieces):

@@ -234,3 +234,22 @@ def test_element_json_roundtrip():
     data = x.to_json()
     assert data["ground"] == ["a", "b", "c", "d", "e"]
     assert OrbitClassElement.from_json(data) == x
+    assert OrbitClassElement.from_json(data).to_json() == data
+
+
+@pytest.mark.parametrize("data", [
+    {"ground": "ab", "blocks": [{"labels": ["a", "b"], "composition": [2]}]},
+    {"ground": ["a", "b"], "blocks": [{"labels": "ab", "composition": [1, 1]}]},
+    {"ground": [1, 2], "blocks": [{"labels": [1, 2], "composition": [1, 1]}]},
+    {"ground": ["a", "a"], "blocks": [{"labels": ["a"], "composition": [1]}]},
+    {"ground": ["a"], "blocks": [{"labels": ["a", "a"], "composition": [1]}]},
+    {"ground": ["a"], "blocks": 5},
+    {"ground": ["a"], "blocks": [5]},
+    {"ground": ["a"], "blocks": [{"labels": ["a"]}]},
+    {"ground": ["a"], "blocks": [{"labels": ["a"], "composition": [1.0]}]},
+    {"ground": ["a"]},
+    ["a"],
+])
+def test_element_json_schema_is_enforced(data):
+    with pytest.raises(ValueError):
+        OrbitClassElement.from_json(data)

@@ -38,6 +38,25 @@ def test_species_counts_match_the_expansion():
     assert all(row.split()[-1] == "ok" for row in rows)
 
 
+@pytest.mark.parametrize("name, argv, message", [
+    ("chi_table.py", ["--n", "-1"], "--n must be nonnegative"),
+    ("chi_table.py", ["--n", "8", "--check"], "exceeds the recount bound 7"),
+    ("species_counts.py", ["--max-n", "-1"], "--max-n must lie in 0..1000"),
+    ("species_counts.py", ["--max-n", "1001"], "--max-n must lie in 0..1000"),
+])
+def test_script_refuses_out_of_range_arguments(name, argv, message):
+    proc = run_script(name, *argv)
+    assert proc.returncode == 2
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_species_counts_from_zero():
+    proc = run_script("species_counts.py", "--max-n", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].split() == ["0", "1", "1", "ok"]
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
     module = importlib.util.module_from_spec(spec)
