@@ -3,12 +3,17 @@
 
 Usage: python scripts/chi_table.py --n 4 [--check]
 
+--n must lie in 0..12, the CLI's degree bound ``cli.MAX_DEGREE``: the
+table has 2^(n-1) rows, all built before the first prints.
+
 With --check, each row is recomputed by the ordered-set-partition brute
-force and compared; the exit code is 1 if any row mismatches.
+force and compared; the exit code is 1 if any row mismatches.  --check
+takes --n only up to the recount bound (7, or ``ORBITOPE_MAX_N``).
 """
 
 import argparse
 
+from orbitopes.cli import MAX_DEGREE
 from orbitopes.compositions import compositions_of
 from orbitopes.geometry import brute_force_bound
 from orbitopes.invariants import CHI_BOUND, chi, chi_bruteforce, to_monomial
@@ -35,6 +40,8 @@ def main():
     args = parser.parse_args()
     if args.n < 0:
         parser.error(f"--n must be nonnegative, got {args.n}")
+    if args.n > MAX_DEGREE:
+        parser.error(f"--n {args.n} exceeds the degree bound {MAX_DEGREE}")
     if args.check:
         try:
             bound = brute_force_bound(CHI_BOUND)

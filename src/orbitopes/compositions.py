@@ -129,6 +129,7 @@ def splits(alpha: Composition) -> tuple[tuple[Composition, Composition], ...]:
 
 def compositions_of(n: int) -> tuple[Composition, ...]:
     """All 2^(n-1) compositions of n, in lexicographic order on part sequences."""
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError("n must be nonnegative")
     # rows[m]: the compositions of m, each a first part followed by a composition of the rest

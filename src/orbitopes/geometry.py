@@ -15,15 +15,18 @@ Brute-force operations (vertex enumeration over all chambers, base
 polytope verification, and the labels a maximal face permutes) are
 guarded by a ground-set size bound, default ``DEFAULT_BOUND`` and
 overridable through the ``ORBITOPE_MAX_N`` environment variable.  The
-half-space scan multiplies the coordinates by the lcm of their
-denominators once and runs on integers, and the chamber census finds
-vertices by integer ranks; every result is still built from, and
-returned as, ``Fraction`` coordinates.
+half-space check multiplies the coordinates by the lcm of their
+denominators once and maximizes every subset sum over all vertices on
+integers, by dynamic programming over the sub-multisets of coordinates
+still to be placed (at most 3^n table entries, not one scan per vertex);
+the chamber census finds vertices by integer ranks.  Every result is
+still built from, and returned as, ``Fraction`` coordinates.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain, groupby, permutations, product
 from math import lcm
@@ -251,6 +254,46 @@ def submodular_of_orbit(p: Point) -> SubmodularOracle:
     return SubmodularOracle(p.ground, table)
 
 
+def _max_subset_sums(scaled: list[int]) -> list[int]:
+    """best[m] = max, over the distinct arrangements x of ``scaled``, of sum(x_i for bit i of m).
+
+    Dynamic programming over the sub-multisets R still to place, R on the
+    last |R| positions: R's table has one entry per subset of those
+    positions, bit 0 for the first.  It is built from the table of R less
+    one copy of each distinct value v, v placed first: an even mask takes
+    the child's entry for its other bits, an odd mask that entry plus v,
+    each maximized over v.  Each table is built once, so the work is
+    sum over R of 2^|R| <= 3^n entries, each from at most k children for
+    k distinct values.
+    """
+    counts = Counter(scaled)
+    values = list(counts)
+    memo: dict[tuple[int, ...], list[int]] = {}
+
+    def table(left: tuple[int, ...]) -> list[int]:
+        # left[j]: copies of values[j] still to place
+        found = memo.get(left)
+        if found is not None:
+            return found
+        skip = take = None
+        for j, v in enumerate(values):
+            if left[j]:
+                child = table(left[:j] + (left[j] - 1,) + left[j + 1:])
+                placed = [s + v for s in child]
+                skip = child if skip is None else list(map(max, skip, child))
+                take = placed if take is None else list(map(max, take, placed))
+        if skip is None:
+            found = [0]
+        else:
+            found = [0] * (2 * len(skip))
+            found[0::2] = skip
+            found[1::2] = take
+        memo[left] = found
+        return found
+
+    return table(tuple(counts.values()))
+
+
 def check_base_polytope(p: Point) -> bool:
     """Verify the half-space description against the vertex description.
 
@@ -258,9 +301,10 @@ def check_base_polytope(p: Point) -> bool:
     for each proper nonempty S, and each such inequality must be attained
     with equality by some vertex.  The coordinates are scaled once to
     integers by the lcm of their denominators, which preserves every
-    comparison.  Subsets are scanned as bitmasks over the label positions,
-    one addition per (vertex, subset) pair: bit i of a mask stands for
-    position i.
+    comparison.  The maximum of each subset sum over all vertices comes
+    from ``_max_subset_sums``, an exhaustive and exact maximization that
+    never uses the closed form z(S) it is compared with; subsets are
+    bitmasks over the label positions, bit i standing for position i.
     """
     n = len(p.ground)
     _check_bound(n)
@@ -268,19 +312,10 @@ def check_base_polytope(p: Point) -> bool:
     scale = lcm(*(v.denominator for v in values))
     scaled = [v.numerator * (scale // v.denominator) for v in values]
     prefix = list(accumulate(scaled, initial=0))
-    best: list[int] | None = None
-    for vertex in distinct_permutations(scaled):
-        sums = [0]
-        for v in vertex:
-            sums += [s + v for s in sums]
-        if sums[-1] != prefix[n]:
-            return False
-        best = sums if best is None else list(map(max, best, sums))
-    for m in range(1, (1 << n) - 1):
-        # max over vertices must meet z(S) exactly: <= is validity, == is tightness
-        if best[m] != prefix[m.bit_count()]:
-            return False
-    return True
+    best = _max_subset_sums(scaled)
+    # max over vertices must meet z(S) exactly: <= is validity, == is tightness;
+    # the full mask is sum(x) = z(I), the empty one 0 = z(emptyset)
+    return all(best[m] == prefix[m.bit_count()] for m in range(1 << n))
 
 
 def chamber_census(p: Point) -> dict[tuple[str, ...], Point]:

@@ -14,9 +14,10 @@ structure counts from the recurrence on the block holding the last label
 or from a literal sum over set partitions.  Set partitions and ordered
 set partitions are enumerated recursively here, for the tests alone.
 The refinements of a composition, the exhaustive checks on a submodular
-function, and the slotwise antipode and product that state the antipode
-identity live here too, as only tests use them.  The generating-function
-coefficients of the structure counts have one copy,
+function, the per-vertex scan of every subset sum behind the base
+polytope check, and the slotwise antipode and product that state the
+antipode identity live here too, as only tests use them.  The
+generating-function coefficients of the structure counts have one copy,
 ``orbitopes.selftest.egf_counts``, which the tests import.
 """
 
@@ -35,6 +36,7 @@ from orbitopes.compositions import (
     near_concat,
     splits,
 )
+from orbitopes.enumeration import distinct_permutations
 from orbitopes.geometry import Point, SubmodularOracle, orbit_vertices
 from orbitopes.hopf_algebra import (
     GeneratorMultiset,
@@ -153,6 +155,20 @@ def is_cardinality_invariant(z: SubmodularOracle) -> bool:
         if by_size.setdefault(len(S), v) != v:
             return False
     return True
+
+
+def vertex_scan_table(scaled) -> list[int]:
+    """Max over every distinct arrangement of each subset sum, bit i of a mask for position i.
+
+    Rebuilds all 2^n subset sums of each vertex and keeps the elementwise max.
+    """
+    best = None
+    for vertex in distinct_permutations(scaled):
+        sums = [0]
+        for v in vertex:
+            sums += [s + v for s in sums]
+        best = sums if best is None else list(map(max, best, sums))
+    return best
 
 
 def eval_monomial(coeffs, t) -> Fraction:

@@ -213,6 +213,9 @@ def test_compositions_of_counts_and_order():
         assert all(c.weight == n for c in comps)
     with pytest.raises(ValueError):
         compositions_of(-1)
+    for wrong in (2.0, "3", None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            compositions_of(wrong)
 
 
 def test_multinomial_examples():

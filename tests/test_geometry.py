@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from orbitopes.geometry import (
     GroundSet,
     OrderedSetPartition,
     Point,
+    _max_subset_sums,
     brute_force_bound,
     chamber_census,
     check_base_polytope,
@@ -26,7 +28,7 @@ from orbitopes.geometry import (
     vertex_count,
 )
 from orbitopes.selftest import random_point, suite_normal_equivalence
-from oracles import is_cardinality_invariant, is_submodular, naive_max_face
+from oracles import is_cardinality_invariant, is_submodular, naive_max_face, vertex_scan_table
 
 C = Composition
 F = Fraction
@@ -190,6 +192,29 @@ def test_check_base_polytope_examples():
     for n in range(1, 6):
         for alpha in compositions_of(n):
             assert check_base_polytope(representative_point(alpha, standard_ground(n)))
+
+
+def scaled_like_check(values):
+    # as check_base_polytope scales: sorted decreasing, times the lcm of the denominators
+    values = sorted(map(F, values), reverse=True)
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def test_max_subset_sums_matches_the_vertex_scan():
+    # the table itself: check_base_polytope is True on every valid point, so it cannot show a wrong one
+    cases = [v for n in range(7) for v in combinations_with_replacement(range(2, -3, -1), n)]
+    cases += [COPRIME, (F(1, 2), F(1, 2), F(-1, 3), F(5, 6)), (F(2, 3),) * 3,
+              (F(-7, 4), F(1, 6), F(1, 6), F(0), F(-7, 4), F(9, 10))]
+    for values in cases:
+        scaled = scaled_like_check(values)
+        assert _max_subset_sums(scaled) == vertex_scan_table(scaled), values
+
+
+def test_check_base_polytope_on_ten_distinct_coordinates(monkeypatch):
+    # 10! vertices times 2^10 subsets is out of reach of a per-vertex scan
+    monkeypatch.setenv("ORBITOPE_MAX_N", "10")
+    assert check_base_polytope(pt(*(F(k * k - 20, k + 1) for k in range(10))))
 
 
 def test_check_base_polytope_bound(monkeypatch):

@@ -43,6 +43,7 @@ def test_species_counts_match_the_expansion():
     ("chi_table.py", ["--n", "8", "--check"], "exceeds the recount bound 7"),
     ("species_counts.py", ["--max-n", "-1"], "--max-n must lie in 0..1000"),
     ("species_counts.py", ["--max-n", "1001"], "--max-n must lie in 0..1000"),
+    ("chi_table.py", ["--n", "13"], "--n 13 exceeds the degree bound 12"),
 ])
 def test_script_refuses_out_of_range_arguments(name, argv, message):
     proc = run_script(name, *argv)
