@@ -8,7 +8,7 @@ table has 2^(n-1) rows, all built before the first prints.
 
 With --check, each row is recomputed by the ordered-set-partition brute
 force and compared; the exit code is 1 if any row mismatches.  --check
-takes --n only up to the recount bound (7, or ``ORBITOPE_MAX_N``).
+takes --n only up to the recount bound (8, or ``ORBITOPE_MAX_N``).
 """
 
 import argparse
@@ -16,7 +16,7 @@ import argparse
 from orbitopes.cli import MAX_DEGREE
 from orbitopes.compositions import compositions_of
 from orbitopes.geometry import brute_force_bound
-from orbitopes.invariants import CHI_BOUND, chi, chi_bruteforce, to_monomial
+from orbitopes.invariants import chi, chi_bruteforce, to_monomial
 
 
 def monomial_str(coeffs) -> str:
@@ -44,7 +44,7 @@ def main():
         parser.error(f"--n {args.n} exceeds the degree bound {MAX_DEGREE}")
     if args.check:
         try:
-            bound = brute_force_bound(CHI_BOUND)
+            bound = brute_force_bound()
         except ValueError as exc:
             parser.error(str(exc))
         if args.n > bound:

@@ -32,6 +32,7 @@ from typing import Mapping
 from .compositions import EMPTY, ONE, Composition, _piece, concat, is_generator, near_concat
 from .hopf_monoid import OrbitClassElement
 from .jsonio import composition_from_json, composition_to_json, frac_from_str, frac_to_str
+from .linear import Linear
 
 DEFAULT_DEGREE = 6
 
@@ -142,8 +143,12 @@ def ribbon_mul(beta: Composition, gamma: Composition) -> tuple[Composition, ...]
     return (concat(beta, gamma), near_concat(beta, gamma))
 
 
-class NSymSeries:
+class NSymSeries(Linear):
     """Degree-truncated rational series over the ribbon basis."""
+
+    __slots__ = ("degree",)
+    _grade = "degree"
+    _mismatch = "truncation degrees differ"
 
     def __init__(self, degree: int = DEFAULT_DEGREE,
                  coeffs: Mapping[Composition, Fraction] = ()):
@@ -156,44 +161,14 @@ class NSymSeries:
         self.coeffs = {k: v for k, v in coeffs.items() if v}
 
     @classmethod
-    def _of(cls, degree: int, coeffs: dict[Composition, Fraction]) -> "NSymSeries":
-        # trusted: nonzero Fractions on compositions of weight at most ``degree``
-        self = object.__new__(cls)
-        self.degree = degree
-        self.coeffs = coeffs
-        return self
-
-    @classmethod
     def unit(cls, degree: int = DEFAULT_DEGREE) -> "NSymSeries":
         return cls(degree, {EMPTY: Fraction(1)})
 
     def coefficient(self, alpha: Composition) -> Fraction:
         return self.coeffs.get(alpha, Fraction(0))
 
-    def __add__(self, other: "NSymSeries") -> "NSymSeries":
-        if self.degree != other.degree:
-            raise ValueError("truncation degrees differ")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return NSymSeries(self.degree, out)
-
-    def __sub__(self, other: "NSymSeries") -> "NSymSeries":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "NSymSeries":
-        scalar = Fraction(scalar)
-        return NSymSeries(self.degree, {k: scalar * v for k, v in self.coeffs.items()})
-
     def __mul__(self, other: "NSymSeries") -> "NSymSeries":
         return series_mul(self, other)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NSymSeries)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -242,9 +217,9 @@ def _rows(f: NSymSeries) -> list[_Row]:
 
 
 def _series(rows: list[_Row]) -> NSymSeries:
-    return NSymSeries._of(len(rows) - 1, {
+    return NSymSeries._of({
         alpha: Fraction(num, den) for den, row in rows for alpha, num in row.items()
-    })
+    }, len(rows) - 1)
 
 
 def _pair_row(left: list[_Row], right: list[_Row], n: int, first: int = 0) -> _Row:
@@ -298,7 +273,7 @@ def series_mul(f: NSymSeries, g: NSymSeries) -> NSymSeries:
     Computed input-first: each pair of terms adds into the one or two ribbons of its product.
     """
     if f.degree != g.degree:
-        raise ValueError("truncation degrees differ")
+        raise ValueError(NSymSeries._mismatch)
     return _series(_product_rows(_rows(f), _rows(g)))
 
 

@@ -20,7 +20,8 @@ denominators once and maximizes every subset sum over all vertices on
 integers, by dynamic programming over the sub-multisets of coordinates
 still to be placed (at most 3^n table entries, not one scan per vertex);
 the chamber census finds vertices by integer ranks.  Every result is
-still built from, and returned as, ``Fraction`` coordinates.
+still built from, and returned as, ``Fraction`` coordinates.  The
+enumeration helpers ``distinct_permutations`` and ``subsets`` live here too.
 """
 
 from __future__ import annotations
@@ -28,21 +29,21 @@ from __future__ import annotations
 import os
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, chain, groupby, permutations, product
+from itertools import accumulate, chain, combinations, groupby, permutations, product
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .compositions import Composition, multinomial
-from .enumeration import distinct_permutations, subsets
 from .jsonio import frac_from_str, frac_to_str
 
 DEFAULT_BOUND = 8
+T = TypeVar("T")
 
 
-def brute_force_bound(default: int = DEFAULT_BOUND) -> int:
+def brute_force_bound() -> int:
     env = os.environ.get("ORBITOPE_MAX_N")
     if not env:
-        return default
+        return DEFAULT_BOUND
     # ASCII digits only: int() would also take signs, spaces, underscores and other scripts
     if env.isascii() and env.isdigit():
         try:
@@ -57,10 +58,41 @@ def brute_force_bound(default: int = DEFAULT_BOUND) -> int:
     raise ValueError(f"ORBITOPE_MAX_N must be a positive integer, got {env!r}")
 
 
-def _check_bound(n: int, default: int = DEFAULT_BOUND):
-    limit = brute_force_bound(default)
+def _check_bound(n: int):
+    limit = brute_force_bound()
     if n > limit:
         raise ValueError(f"brute-force bound exceeded: ground set of size {n} > {limit}")
+
+
+def distinct_permutations(values: Sequence[T]) -> Iterator[tuple[T, ...]]:
+    """Yield each rearrangement of a multiset exactly once, in decreasing lexicographic order.
+
+    Knuth's Algorithm L (TAOCP 7.2.1.2) run downwards: from the weakly
+    decreasing arrangement, each step finds the rightmost j with
+    a[j] > a[j + 1], swaps a[j] with the rightmost smaller entry after it
+    and reverses the tail after j.  n!/prod(mult_i!) outputs, no
+    recursion and no post-hoc deduplication.
+    """
+    a = sorted(values, reverse=True)
+    last = len(a) - 1
+    while True:
+        yield tuple(a)
+        j = last - 1
+        while j >= 0 and a[j] <= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        l = last
+        while a[l] >= a[j]:
+            l -= 1
+        a[j], a[l] = a[l], a[j]
+        a[j + 1:] = a[:j:-1]
+
+
+def subsets(items: Sequence[T]) -> Iterator[tuple[T, ...]]:
+    """All subsets of ``items``, as tuples, by increasing size."""
+    for k in range(len(items) + 1):
+        yield from combinations(items, k)
 
 
 class GroundSet(tuple):

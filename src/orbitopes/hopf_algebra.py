@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import comb
 from typing import Iterable, Mapping
 
 from .compositions import ONE, Composition, _integer, compositions_of, is_generator, splits
 from .jsonio import composition_from_json, composition_to_json, frac_from_str, frac_to_str
+from .linear import Linear, combine
 
 
 class GeneratorMultiset(tuple):
@@ -74,46 +74,27 @@ def _multiset(members: Iterable[Composition]) -> GeneratorMultiset:
     return tuple.__new__(GeneratorMultiset, sorted(members))
 
 
-def _linear(terms) -> dict:
-    """Sum (key, coefficient) pairs into one dict, dropping zero coefficients."""
-    out: dict = {}
-    for key, value in terms:
-        # one lookup and one store per term: multiset keys are costly to hash
-        old = out.get(key)
-        out[key] = value if old is None else old + value
-    for key in [k for k, v in out.items() if not v]:
-        del out[key]
-    return out
-
-
 def _times(x: dict, y: dict) -> dict:
     """Product of two coefficient dicts on multisets: bilinear extension of union."""
-    return _linear((k1.union(k2), v1 * v2) for k1, v1 in x.items() for k2, v2 in y.items())
+    return combine((k1.union(k2), v1 * v2) for k1, v1 in x.items() for k2, v2 in y.items())
 
 
 def _tensor_times(x: dict, y: dict) -> dict:
     """Product of two coefficient dicts on tuples of multisets: union slot by slot."""
-    return _linear(
+    return combine(
         (tuple(a.union(b) for a, b in zip(k1, k2)), v1 * v2)
         for k1, v1 in x.items()
         for k2, v2 in y.items()
     )
 
 
-class HopfElement:
+class HopfElement(Linear):
     """Finitely supported rational linear combination of generator multisets."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Mapping[GeneratorMultiset, Fraction] = ()):
-        self.coeffs = _linear((GeneratorMultiset(k), Fraction(v)) for k, v in dict(coeffs).items())
-
-    @classmethod
-    def _of(cls, coeffs: dict[GeneratorMultiset, Fraction]) -> "HopfElement":
-        # trusted: nonzero Fractions on generator multisets
-        self = object.__new__(cls)
-        self.coeffs = coeffs
-        return self
+        self.coeffs = combine((GeneratorMultiset(k), Fraction(v)) for k, v in dict(coeffs).items())
 
     @classmethod
     def unit(cls) -> "HopfElement":
@@ -123,21 +104,8 @@ class HopfElement:
     def basis(cls, gm: GeneratorMultiset) -> "HopfElement":
         return cls({gm: Fraction(1)})
 
-    def __add__(self, other: "HopfElement") -> "HopfElement":
-        return HopfElement._of(_linear(chain(self.coeffs.items(), other.coeffs.items())))
-
-    def __sub__(self, other: "HopfElement") -> "HopfElement":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "HopfElement":
-        scalar = Fraction(scalar)
-        return HopfElement._of({k: scalar * v for k, v in self.coeffs.items()} if scalar else {})
-
     def __mul__(self, other: "HopfElement") -> "HopfElement":
         return product(self, other)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HopfElement) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(frozenset(self.coeffs.items()))
@@ -159,22 +127,27 @@ class HopfElement:
     def from_json(cls, data) -> "HopfElement":
         if not isinstance(data, list):
             raise ValueError("an element must be a JSON array of {coeff, multiset} terms")
-        coeffs: dict[GeneratorMultiset, Fraction] = {}
+        terms = []
         for term in data:
             if not (isinstance(term, dict) and "coeff" in term and isinstance(term.get("multiset"), list)):
                 raise ValueError(f"malformed element term {term!r}")
             gm = GeneratorMultiset(composition_from_json(a) for a in term["multiset"])
-            coeffs[gm] = coeffs.get(gm, Fraction(0)) + frac_from_str(term["coeff"])
-        return cls(coeffs)
+            terms.append((gm, frac_from_str(term["coeff"])))
+        return cls._of(combine(terms))
 
 
-class TensorElement:
+class TensorElement(Linear):
     """Finitely supported combination of tuples of generator multisets."""
 
-    __slots__ = ("coeffs", "arity")
+    __slots__ = ("arity",)
+    _grade = "arity"
+    _mismatch = "tensor arities differ"
 
     def __init__(self, coeffs: Mapping[tuple, Fraction] = (), arity: int = 2):
-        coeffs = _linear(
+        arity = _integer(arity, "tensor arity")
+        if arity < 0:
+            raise ValueError(f"tensor arity must be nonnegative, got {arity}")
+        coeffs = combine(
             (tuple(map(GeneratorMultiset, k)), Fraction(v)) for k, v in dict(coeffs).items()
         )
         for key in coeffs:
@@ -183,42 +156,11 @@ class TensorElement:
         self.coeffs = coeffs
         self.arity = arity
 
-    @classmethod
-    def _of(cls, coeffs: dict[tuple, Fraction], arity: int) -> "TensorElement":
-        # trusted: nonzero Fractions on ``arity``-tuples of generator multisets
-        self = object.__new__(cls)
-        self.coeffs = coeffs
-        self.arity = arity
-        return self
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        if self.arity != other.arity:
-            raise ValueError("tensor arities differ")
-        return TensorElement._of(
-            _linear(chain(self.coeffs.items(), other.coeffs.items())), self.arity
-        )
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "TensorElement":
-        scalar = Fraction(scalar)
-        return TensorElement._of(
-            {k: scalar * v for k, v in self.coeffs.items()} if scalar else {}, self.arity
-        )
-
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         """Componentwise product: multisets union slotwise, coefficients multiply."""
         if self.arity != other.arity:
-            raise ValueError("tensor arities differ")
+            raise ValueError(self._mismatch)
         return TensorElement._of(_tensor_times(self.coeffs, other.coeffs), self.arity)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElement)
-            and self.arity == other.arity
-            and self.coeffs == other.coeffs
-        )
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -274,7 +216,7 @@ def _coproduct_basis(gm: GeneratorMultiset) -> dict[tuple, int]:
 
 def coproduct(x: HopfElement) -> TensorElement:
     """Algebra-map coproduct: product over each multiset member's cut expansion."""
-    return TensorElement._of(_linear(
+    return TensorElement._of(combine(
         (key, v * w) for gm, v in x.coeffs.items() for key, w in _coproduct_basis(gm).items()
     ), 2)
 
@@ -284,7 +226,7 @@ def coproduct_in_slot(t: TensorElement, slot: int) -> TensorElement:
     slot = _integer(slot, "slot")
     if not 0 <= slot < t.arity:
         raise ValueError(f"slot {slot} out of range for arity {t.arity}")
-    return TensorElement._of(_linear(
+    return TensorElement._of(combine(
         (key[:slot] + inner + key[slot + 1:], v * w)
         for key, v in t.coeffs.items()
         for inner, w in _coproduct_basis(key[slot]).items()
@@ -305,7 +247,7 @@ def _antipode_basis(gm: GeneratorMultiset) -> dict[GeneratorMultiset, int]:
             out = _times(out, _antipode_basis(_class(alpha)))
         return out
     # m(S (x) id)Delta(alpha) = 0: every term but alpha (x) empty has lower left degree
-    return _linear(
+    return combine(
         (left.union(right), -c * v)
         for (top, right), c in _coproduct_generator(gm[0]).items() if top != gm
         for left, v in _antipode_basis(top).items()
@@ -313,13 +255,14 @@ def _antipode_basis(gm: GeneratorMultiset) -> dict[GeneratorMultiset, int]:
 
 
 def antipode(x: HopfElement) -> HopfElement:
-    return HopfElement._of(_linear(
+    return HopfElement._of(combine(
         (key, v * w) for gm, v in x.coeffs.items() for key, w in _antipode_basis(gm).items()
     ))
 
 
 def generator_multisets(max_degree: int) -> list[GeneratorMultiset]:
     """All basis multisets of total weight <= max_degree, by degree."""
+    max_degree = _integer(max_degree, "max_degree")
     generators: list[Composition] = []
     for w in range(1, max_degree + 1):
         generators.extend(a for a in compositions_of(w) if is_generator(a))

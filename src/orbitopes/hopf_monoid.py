@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .compositions import ONE, Composition, restrict_contract
+from .compositions import ONE, Composition, _integer, restrict_contract
 from .jsonio import composition_from_json, composition_to_json
 
 Block = tuple[frozenset, Composition]
@@ -185,6 +185,7 @@ def count_structures(n: int) -> int:
     because e^t (e^t - 1)^m / m! generates the Stirling numbers S(n + 1, m + 1) and
     exp(u^2 / 2) = sum over j of (2j - 1)!! u^(2j) / (2j)!.
     """
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > COUNT_MAX_N:

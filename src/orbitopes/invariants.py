@@ -26,16 +26,16 @@ from typing import Iterable, Mapping
 from .compositions import Composition, multinomial
 from .geometry import _check_bound
 from .hopf_monoid import OrbitClassElement, class_of, delta
+from .linear import Linear, combine
 
-CHI_BOUND = 7
 # largest composition weight ``chi`` accepts; its cost and output grow as weight^2
 CHI_MAX_WEIGHT = 200
 
 
-class BinomialPolynomial:
+class BinomialPolynomial(Linear):
     """Polynomial in t stored by its coefficients on binom(t, k)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Mapping[int, Fraction] = ()):
         try:
@@ -50,21 +50,8 @@ class BinomialPolynomial:
     def degree(self) -> int:
         return max(self.coeffs, default=0)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BinomialPolynomial) and self.coeffs == other.coeffs
-
     def __hash__(self) -> int:
         return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "BinomialPolynomial") -> "BinomialPolynomial":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return BinomialPolynomial(out)
-
-    def __rmul__(self, scalar) -> "BinomialPolynomial":
-        scalar = Fraction(scalar)
-        return BinomialPolynomial({k: scalar * v for k, v in self.coeffs.items()})
 
     def __mul__(self, other: "BinomialPolynomial") -> "BinomialPolynomial":
         """Product, carried out in the monomial basis and converted back."""
@@ -127,13 +114,11 @@ def to_monomial(p: BinomialPolynomial) -> list[Fraction]:
 
 def from_monomial(coeffs: Iterable[Fraction]) -> BinomialPolynomial:
     """Inverse basis change: t^m = sum over k of k! S(m, k) binom(t, k), a surjection row."""
-    out: dict[int, Fraction] = {}
-    for m, c in enumerate(coeffs):
-        c = Fraction(c)
-        if c:
-            for k, s in enumerate(_surjection_row(m)):
-                out[k] = out.get(k, 0) + c * s
-    return BinomialPolynomial(out)
+    return BinomialPolynomial._of(combine(
+        (k, c * s)
+        for m, c in enumerate(map(Fraction, coeffs)) if c
+        for k, s in enumerate(_surjection_row(m))
+    ))
 
 
 def basic_character(alpha: Composition) -> Fraction:
@@ -200,7 +185,7 @@ def chi_bruteforce_element(x: OrbitClassElement) -> BinomialPolynomial:
     tail depend only on its shape, the sorted block compositions, and
     each shape is counted once.
     """
-    _check_bound(len(x.ground), CHI_BOUND)
+    _check_bound(len(x.ground))
     memo: dict[tuple[Composition, ...], list[int]] = {}
 
     def counts(rest: OrbitClassElement) -> list[int]:

@@ -1,0 +1,74 @@
+"""Finitely supported rational linear combinations: the one sparse-vector core.
+
+An element is a dict ``coeffs`` from basis keys to nonzero ``Fraction``s.
+The Hopf algebra of compositions, its tensor powers, the ribbon series
+and the binomial-basis invariant all take their sum, difference, scalar
+multiple, equality and trusted constructor from ``Linear``; each keeps its
+own validating constructor, product, JSON and ``repr``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import chain
+
+
+def combine(terms) -> dict:
+    """Sum (key, coefficient) pairs into one dict, dropping zero coefficients."""
+    out: dict = {}
+    for key, value in terms:
+        # one lookup and one store per term: multiset keys are costly to hash
+        old = out.get(key)
+        out[key] = value if old is None else old + value
+    for key in [k for k, v in out.items() if not v]:
+        del out[key]
+    return out
+
+
+class Linear:
+    """Base of the sparse rational vector types.
+
+    A graded subclass names its grade attribute in ``_grade`` and the
+    message for two different grades in ``_mismatch``; sums and equality
+    hold only within one type and one grade.  Defining ``__eq__`` here
+    leaves the subclasses unhashable unless they define ``__hash__``.
+    """
+
+    __slots__ = ("coeffs",)
+    _grade: str | None = None
+    _mismatch = ""
+
+    @classmethod
+    def _of(cls, coeffs: dict, grade=None):
+        # trusted: nonzero Fractions on valid keys of the given grade
+        self = object.__new__(cls)
+        self.coeffs = coeffs
+        if cls._grade:
+            setattr(self, cls._grade, grade)
+        return self
+
+    def _grade_value(self):
+        return getattr(self, self._grade) if self._grade else None
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        grade = self._grade_value()
+        if other._grade_value() != grade:
+            raise ValueError(self._mismatch)
+        return self._of(combine(chain(self.coeffs.items(), other.coeffs.items())), grade)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __rmul__(self, scalar):
+        scalar = Fraction(scalar)
+        coeffs = {k: scalar * v for k, v in self.coeffs.items()} if scalar else {}
+        return self._of(coeffs, self._grade_value())
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._grade_value() == other._grade_value()
+            and self.coeffs == other.coeffs
+        )

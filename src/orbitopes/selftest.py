@@ -17,7 +17,7 @@ from functools import wraps
 from typing import Callable, Iterator
 
 from .characters import Character, char_to_series, convolve, in_group_G
-from .compositions import compositions_of, concat, is_generator, near_concat, splits
+from .compositions import _integer, compositions_of, concat, is_generator, near_concat, splits
 from .geometry import (
     Point,
     brute_force_bound,
@@ -29,11 +29,11 @@ from .geometry import (
     orbit_vertices,
     representative_point,
     standard_ground,
+    subsets,
 )
 from .hopf_algebra import coproduct, inject
 from .hopf_monoid import class_of, count_structures, delta
 from .invariants import chi, chi_bruteforce
-from .enumeration import subsets
 
 SEED = 20230817
 
@@ -232,6 +232,7 @@ def run_selftest(max_n: int = 5) -> dict:
     ``max_n`` must lie in 1..brute_force_bound(): the splits suite walks
     every composition of each n up to it.
     """
+    max_n = _integer(max_n, "selftest max_n")
     bound = brute_force_bound()
     if not 1 <= max_n <= bound:
         raise ValueError(f"selftest max_n must be in the range 1..{bound}, got {max_n}")

@@ -36,21 +36,20 @@ from orbitopes.compositions import (
     near_concat,
     splits,
 )
-from orbitopes.enumeration import distinct_permutations
-from orbitopes.geometry import Point, SubmodularOracle, orbit_vertices
+from orbitopes.geometry import Point, SubmodularOracle, distinct_permutations, orbit_vertices
 from orbitopes.hopf_algebra import (
     GeneratorMultiset,
     HopfElement,
     TensorElement,
     _antipode_basis,
     _class,
-    _linear,
     _multiset,
     coproduct,
     product,
 )
 from orbitopes.hopf_monoid import OrbitClassElement, delta
 from orbitopes.invariants import BinomialPolynomial
+from orbitopes.linear import combine
 
 
 def brute_force_splits(alpha):
@@ -228,7 +227,7 @@ def convolve_value(zeta: Character, psi: Character, alpha: Composition) -> Fract
 
 def apply_antipode_slot(t: TensorElement, slot: int) -> TensorElement:
     """Replace one tensor slot by its antipode (used to state the defining identity)."""
-    return TensorElement._of(_linear(
+    return TensorElement._of(combine(
         (key[:slot] + (gm,) + key[slot + 1:], v * w)
         for key, v in t.coeffs.items()
         for gm, w in _antipode_basis(key[slot]).items()
@@ -237,7 +236,7 @@ def apply_antipode_slot(t: TensorElement, slot: int) -> TensorElement:
 
 def multiply_slots(t: TensorElement) -> HopfElement:
     """Multiply all tensor slots back down to the algebra."""
-    return HopfElement._of(_linear(
+    return HopfElement._of(combine(
         (_multiset(chain.from_iterable(key)), v) for key, v in t.coeffs.items()
     ))
 

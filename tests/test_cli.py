@@ -445,6 +445,12 @@ def test_selftest_reports_a_raising_suite_and_runs_the_rest(capsys, monkeypatch)
     assert code == 1 and err == "" and json.loads(out) == report
 
 
+@pytest.mark.parametrize("value", [2.0, "3"])
+def test_run_selftest_refuses_a_non_integer(value):
+    with pytest.raises(ValueError, match=f"^selftest max_n must be an integer, got {value!r}$"):
+        run_selftest(value)
+
+
 @pytest.mark.parametrize("max_n", ["0", "-3", "9"])
 def test_selftest_max_n_range(capsys, monkeypatch, max_n):
     monkeypatch.delenv("ORBITOPE_MAX_N", raising=False)

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orbitopes.compositions import Composition, compositions_of
-from orbitopes.enumeration import subsets
-from orbitopes.geometry import standard_ground
+from orbitopes.geometry import standard_ground, subsets
 from orbitopes.hopf_monoid import (
     COUNT_MAX_N,
     UNIT,
@@ -207,6 +206,12 @@ def test_count_structures_examples():
     assert count_structures(0) == 1
     with pytest.raises(ValueError):
         count_structures(-1)
+
+
+@pytest.mark.parametrize("value", [2.0, "3"])
+def test_count_structures_refuses_a_non_integer(value):
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {value!r}$"):
+        count_structures(value)
 
 
 def test_count_structures_matches_direct_partition_sum():

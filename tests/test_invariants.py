@@ -61,15 +61,15 @@ def test_chi_bruteforce_examples():
 
 def test_chi_bruteforce_bound(monkeypatch):
     with pytest.raises(ValueError, match="brute-force bound"):
-        chi_bruteforce(C((8,)))
+        chi_bruteforce(C((9,)))
     monkeypatch.setenv("ORBITOPE_MAX_N", "1")
     with pytest.raises(ValueError, match="ground set of size 2 > 1"):
         chi_bruteforce(C((1, 1)))
 
 
 def test_chi_bruteforce_matches_closed_form_through_the_bound():
-    alphas = [alpha for n in range(8) for alpha in compositions_of(n)]
-    assert len(alphas) == 128
+    alphas = [alpha for n in range(9) for alpha in compositions_of(n)]
+    assert len(alphas) == 256
     for alpha in alphas:
         assert chi_bruteforce(alpha) == chi(alpha), alpha
 

@@ -40,7 +40,7 @@ def test_species_counts_match_the_expansion():
 
 @pytest.mark.parametrize("name, argv, message", [
     ("chi_table.py", ["--n", "-1"], "--n must be nonnegative"),
-    ("chi_table.py", ["--n", "8", "--check"], "exceeds the recount bound 7"),
+    ("chi_table.py", ["--n", "9", "--check"], "exceeds the recount bound 8"),
     ("species_counts.py", ["--max-n", "-1"], "--max-n must lie in 0..1000"),
     ("species_counts.py", ["--max-n", "1001"], "--max-n must lie in 0..1000"),
     ("chi_table.py", ["--n", "13"], "--n 13 exceeds the degree bound 12"),
