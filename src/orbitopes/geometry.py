@@ -18,10 +18,13 @@ overridable through the ``ORBITOPE_MAX_N`` environment variable.  The
 half-space check multiplies the coordinates by the lcm of their
 denominators once and maximizes every subset sum over all vertices on
 integers, by dynamic programming over the sub-multisets of coordinates
-still to be placed (at most 3^n table entries, not one scan per vertex);
-the chamber census finds vertices by integer ranks.  Every result is
-still built from, and returned as, ``Fraction`` coordinates.  The
-enumeration helpers ``distinct_permutations`` and ``subsets`` live here too.
+still to be placed (at most 3^n table entries, not one scan per vertex).
+The vertex walk and the chamber census run on the integer ranks of the
+coordinates, and the census is built vertex first: every vertex's orders
+come from one list of within-tie permutations shared by all vertices.
+Every result is still built from, and returned as, ``Fraction``
+coordinates.  The enumeration helpers ``distinct_permutations`` and
+``subsets`` live here too.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ from __future__ import annotations
 import os
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, groupby, permutations, product
+from itertools import accumulate, chain, combinations, groupby, permutations, product, starmap
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .compositions import Composition, multinomial
@@ -230,10 +234,31 @@ def composition_of_point(p: Point) -> Composition:
     return Composition(len(list(run)) for _, run in groupby(sorted_values(p)))
 
 
+def _ranks(p: Point) -> tuple[list[Fraction], list[int]]:
+    """The distinct coordinates of p, decreasing, and the rank of each sorted coordinate.
+
+    A coordinate's rank is its index among the distinct ones, so equal
+    coordinates share a rank and the ranks come in increasing order.
+    """
+    values = sorted_values(p)
+    distinct = [value for value, _ in groupby(values)]
+    ranks = [rank for rank, (_, run) in enumerate(groupby(values)) for _ in run]
+    return distinct, ranks
+
+
 def orbit_vertices(p: Point) -> set[Point]:
-    """All distinct coordinate rearrangements of p; these are the orbit polytope's vertices."""
+    """All distinct coordinate rearrangements of p; these are the orbit polytope's vertices.
+
+    The rearrangements are walked on the integer ranks of the coordinates,
+    one step per vertex, and each is mapped back to its ``Fraction`` values.
+    """
     _check_bound(len(p.ground))
-    return {Point._of(p.ground, arrangement) for arrangement in distinct_permutations(p.values)}
+    distinct, ranks = _ranks(p)
+    value_of = distinct.__getitem__
+    return {
+        Point._of(p.ground, tuple(map(value_of, arrangement)))
+        for arrangement in distinct_permutations(ranks)
+    }
 
 
 def level_partition(y: Mapping[str, Fraction], ground: GroundSet) -> OrderedSetPartition:
@@ -354,24 +379,34 @@ def chamber_census(p: Point) -> dict[tuple[str, ...], Point]:
     """For each total order on the labels, the unique orbit vertex weakly sorted along it.
 
     An order (l_1, ..., l_n) stands for the closed chamber x_{l_1} >= ... >= x_{l_n}.
-    Each order's vertex is found by its tuple of coordinate ranks in ground
-    order, equal coordinates sharing a rank; the orders on one vertex share
-    one ``Point``.
+    The census is built vertex first.  A vertex's orders list its labels by
+    position in the decreasing sort of its coordinates, each tie block in any
+    order: they are the images of one position -> label map under the same
+    prod(m_i!) within-block permutations of the positions, built once per
+    call as ``itemgetter``s.  One pass of ``permutations`` over the ranks in
+    lockstep with ``permutations`` over the positions gives every vertex's
+    rank tuple (in ground order) and a position for each of its labels.
+    The orders on one vertex share one ``Point``.
     """
     n = len(p.ground)
     _check_bound(n)
-    values = sorted_values(p)
-    distinct = [value for value, _ in groupby(values)]
-    ranks = [rank for rank, (_, run) in enumerate(groupby(values)) for _ in run]
-    shared: dict[tuple[int, ...], Point] = {}
+    if n <= 1:  # itemgetter of one index returns a bare label, not a tuple
+        return {tuple(p.ground): Point._of(p.ground, p.values)}
+    distinct, ranks = _ranks(p)
+    # the positions that hold each rank, in every order
+    blocks = [
+        permutations(i for i, r in enumerate(ranks) if r == rank) for rank in range(len(distinct))
+    ]
+    reorders = list(starmap(itemgetter, map(tuple, map(chain.from_iterable, product(*blocks)))))
+    # sigma pairs the rank tuple ranks o sigma with sigma, a valid position for every label
+    positions = dict(zip(permutations(ranks), permutations(range(n))))
+    value_of = distinct.__getitem__
     census = {}
-    for order in permutations(p.ground):
-        rank_of = dict(zip(order, ranks))
-        key = tuple(map(rank_of.__getitem__, p.ground))
-        vertex = shared.get(key)
-        if vertex is None:
-            vertex = shared[key] = Point._of(p.ground, tuple(map(distinct.__getitem__, key)))
-        census[order] = vertex
+    for key, position in positions.items():
+        vertex = Point._of(p.ground, tuple(map(value_of, key)))
+        label_at = dict(zip(position, p.ground))
+        for reorder in reorders:
+            census[reorder(label_at)] = vertex
     return census
 
 

@@ -144,9 +144,7 @@ class TensorElement(Linear):
     _mismatch = "tensor arities differ"
 
     def __init__(self, coeffs: Mapping[tuple, Fraction] = (), arity: int = 2):
-        arity = _integer(arity, "tensor arity")
-        if arity < 0:
-            raise ValueError(f"tensor arity must be nonnegative, got {arity}")
+        arity = _arity(arity)
         coeffs = combine(
             (tuple(map(GeneratorMultiset, k)), Fraction(v)) for k, v in dict(coeffs).items()
         )
@@ -171,7 +169,15 @@ class TensorElement(Linear):
 
     @classmethod
     def unit(cls, arity: int = 2) -> "TensorElement":
+        arity = _arity(arity)
         return cls._of({(EMPTY_MULTISET,) * arity: Fraction(1)}, arity)
+
+
+def _arity(arity) -> int:
+    arity = _integer(arity, "tensor arity")
+    if arity < 0:
+        raise ValueError(f"tensor arity must be nonnegative, got {arity}")
+    return arity
 
 
 def tensor(x: HopfElement, y: HopfElement) -> TensorElement:
@@ -263,6 +269,8 @@ def antipode(x: HopfElement) -> HopfElement:
 def generator_multisets(max_degree: int) -> list[GeneratorMultiset]:
     """All basis multisets of total weight <= max_degree, by degree."""
     max_degree = _integer(max_degree, "max_degree")
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     generators: list[Composition] = []
     for w in range(1, max_degree + 1):
         generators.extend(a for a in compositions_of(w) if is_generator(a))

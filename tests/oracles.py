@@ -15,15 +15,16 @@ or from a literal sum over set partitions.  Set partitions and ordered
 set partitions are enumerated recursively here, for the tests alone.
 The refinements of a composition, the exhaustive checks on a submodular
 function, the per-vertex scan of every subset sum behind the base
-polytope check, and the slotwise antipode and product that state the
-antipode identity live here too, as only tests use them.  The
-generating-function coefficients of the structure counts have one copy,
-``orbitopes.selftest.egf_counts``, which the tests import.
+polytope check, the order-by-order walk of the chamber census, and the
+slotwise antipode and product that state the antipode identity live
+here too, as only tests use them.  The generating-function coefficients
+of the structure counts have one copy, ``orbitopes.selftest.egf_counts``,
+which the tests import.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, product as cartesian
+from itertools import accumulate, chain, combinations, groupby, permutations, product as cartesian
 from math import comb
 
 from orbitopes.characters import Character, NSymSeries, ribbon_mul
@@ -36,7 +37,13 @@ from orbitopes.compositions import (
     near_concat,
     splits,
 )
-from orbitopes.geometry import Point, SubmodularOracle, distinct_permutations, orbit_vertices
+from orbitopes.geometry import (
+    Point,
+    SubmodularOracle,
+    distinct_permutations,
+    orbit_vertices,
+    sorted_values,
+)
 from orbitopes.hopf_algebra import (
     GeneratorMultiset,
     HopfElement,
@@ -135,6 +142,28 @@ def naive_max_face(p: Point, y) -> set:
         elif value == best:
             winners.add(v)
     return winners
+
+
+def order_first_census(p: Point) -> dict[tuple[str, ...], Point]:
+    """The chamber census walked order by order, as the library once did.
+
+    Each of the n! orders finds its vertex by its tuple of coordinate ranks
+    in ground order, equal coordinates sharing a rank; the orders on one
+    vertex share one ``Point``.
+    """
+    values = sorted_values(p)
+    distinct = [value for value, _ in groupby(values)]
+    ranks = [rank for rank, (_, run) in enumerate(groupby(values)) for _ in run]
+    shared: dict[tuple[int, ...], Point] = {}
+    census = {}
+    for order in permutations(p.ground):
+        rank_of = dict(zip(order, ranks))
+        key = tuple(map(rank_of.__getitem__, p.ground))
+        vertex = shared.get(key)
+        if vertex is None:
+            vertex = shared[key] = Point._of(p.ground, tuple(map(distinct.__getitem__, key)))
+        census[order] = vertex
+    return census
 
 
 def is_submodular(z: SubmodularOracle) -> bool:

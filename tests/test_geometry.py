@@ -28,7 +28,13 @@ from orbitopes.geometry import (
     vertex_count,
 )
 from orbitopes.selftest import random_point, suite_normal_equivalence
-from oracles import is_cardinality_invariant, is_submodular, naive_max_face, vertex_scan_table
+from oracles import (
+    is_cardinality_invariant,
+    is_submodular,
+    naive_max_face,
+    order_first_census,
+    vertex_scan_table,
+)
 
 C = Composition
 F = Fraction
@@ -124,6 +130,29 @@ def test_chamber_census_shares_one_point_per_vertex():
     for p in (pt(*COPRIME), pt(2, 2, 1, 0), pt(3, 3, 3), pt(1, 1, 0, 0, 0), pt()):
         census = chamber_census(p)
         assert len({id(v) for v in census.values()}) == vertex_count(p)
+
+
+def _census_oracle_points(kind):
+    if kind == "compositions":
+        return [
+            representative_point(alpha, standard_ground(n))
+            for n in range(7) for alpha in compositions_of(n)
+        ]
+    if kind == "random":
+        rng = random.Random(1701)
+        return [random_point(rng, rng.randint(0, 7)) for _ in range(50)]
+    return [pt(*values) for n in range(9) for values in ([1] * n, range(n))]
+
+
+@pytest.mark.parametrize("kind", ["compositions", "random", "all_equal_or_distinct"])
+def test_vertex_first_census_and_rank_walk_match_the_oracles(kind):
+    for p in _census_oracle_points(kind):
+        census = chamber_census(p)
+        assert census == order_first_census(p), p
+        assert len({id(v) for v in census.values()}) == vertex_count(p), p
+        assert orbit_vertices(p) == {
+            Point._of(p.ground, a) for a in distinct_permutations(p.values)
+        }, p
 
 
 def test_orbit_vertex_count_matches_multinomial():

@@ -82,16 +82,34 @@ def test_generator_multisets_refuses_a_non_integer(value):
         generator_multisets(value)
 
 
-@pytest.mark.parametrize("arity, message", [
+def test_generator_multisets_refuses_a_negative_degree():
+    with pytest.raises(ValueError, match="^max_degree must be nonnegative, got -1$"):
+        generator_multisets(-1)
+    assert generator_multisets(0) == [GeneratorMultiset(())]
+
+
+BAD_ARITIES = [
     (1.5, "tensor arity must be an integer, got 1.5"),
     ("2", "tensor arity must be an integer, got '2'"),
     (-1, "tensor arity must be nonnegative, got -1"),
-])
+]
+
+
+@pytest.mark.parametrize("arity, message", BAD_ARITIES)
 def test_tensor_arity_is_a_nonnegative_integer(arity, message):
     with pytest.raises(ValueError) as info:
         TensorElement({}, arity=arity)
     assert str(info.value) == message
     assert TensorElement({}, arity=0).arity == 0
+
+
+@pytest.mark.parametrize("arity, message", BAD_ARITIES)
+def test_tensor_unit_checks_its_arity(arity, message):
+    with pytest.raises(ValueError) as info:
+        TensorElement.unit(arity)
+    assert str(info.value) == message
+    unit = TensorElement.unit(0)
+    assert unit.arity == 0 and unit.coeffs == {(): 1}
 
 
 def test_inject_examples():

@@ -82,3 +82,38 @@ def test_script_exits_1_on_mismatch(monkeypatch, capsys, name, argv, broken):
         script.main()
     assert exit_info.value.code == 1
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_bench_pairs_summary_on_synthetic_runs():
+    bench_pairs = load_script("bench_pairs.py")
+    end_to_end = [
+        {"name": "wall_ref", "better": "lower", "bound": 0.25},
+        {"name": "ok_ratio", "better": "higher", "bound": 0.02},
+    ]
+    walls = [(10.0, 6.0), (12.0, 7.0), (11.0, 13.0), (9.0, 8.0)]
+    pairs = [
+        {"seed": seed,
+         "parent": {"wall_ref": p, "ok_ratio": 1.0, "ok": True},
+         "change": {"wall_ref": c, "ok_ratio": 0.97, "ok": seed != 4}}
+        for seed, (p, c) in enumerate(walls, start=1)
+    ]
+    summary = bench_pairs.summarize(pairs, end_to_end)
+    assert summary["pairs"] == 4 and summary["seeds"] == [1, 2, 3, 4]
+    assert summary["all_ok"] is False  # the change's run of seed 4 failed
+    wall = summary["wall_ref"]
+    assert wall["per_pair"] == [list(pair) for pair in walls]
+    assert (wall["parent_median"], wall["change_median"]) == (10.5, 7.5)
+    assert wall["ratio"] == 7.5 / 10.5
+    assert wall["parent_q1_q3"] == [9.75, 11.25] and wall["change_q1_q3"] == [6.75, 9.25]
+    assert wall["change_better_pairs"] == 3
+    assert wall["better_by_more_than_parent_iqr"] and wall["within_bound"]
+    ok = summary["ok_ratio"]
+    assert ok["change_better_pairs"] == 0 and not ok["better_by_more_than_parent_iqr"]
+    assert not ok["within_bound"]  # 3% lower against a 2% bound, higher being better
+    for scale, within in ((1.2, True), (1.3, False)):
+        for pair in pairs:
+            pair["change"].update(wall_ref=scale * pair["parent"]["wall_ref"], ok_ratio=0.99)
+        summary = bench_pairs.summarize(pairs, end_to_end)
+        assert summary["wall_ref"]["within_bound"] is within, scale  # bound 25%
+        assert summary["wall_ref"]["change_better_pairs"] == 0
+        assert summary["ok_ratio"]["within_bound"]
