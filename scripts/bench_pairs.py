@@ -4,10 +4,11 @@
 Usage: python3 scripts/bench_pairs.py --parent DIR --workload NAME --pairs N --out FILE [--seed S]
 
 DIR is a checkout of the parent, prepared beforehand; the change is the
-checkout holding this script.  Both sides get their ``src`` and
-``perfbench`` bytecode compiled first, and every run is made with
-PYTHONDONTWRITEBYTECODE=1 and no PYTHONPATH, so that neither side reads
-stale or missing ``.pyc`` files.  Pair i runs
+checkout holding this script.  Both sides first lose every ``__pycache__``
+directory under ``src`` and ``perfbench``, and every run is made with
+PYTHONDONTWRITEBYTECODE=1 and no PYTHONPATH, so that each run compiles
+from source every module it imports, as a run in a fresh checkout does,
+and neither side reads stale ``.pyc`` files.  Pair i runs
 
     python3 perfbench/run.py --workload NAME --seed S+i --seconds 32 --trace 0
 
@@ -25,6 +26,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -79,9 +81,10 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return summary
 
 
-def compile_bytecode(checkout: Path, env: dict) -> None:
-    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
-                   cwd=checkout, env=env, check=True, stdout=subprocess.DEVNULL)
+def remove_bytecode(checkout: Path) -> None:
+    for top in ("src", "perfbench"):
+        for cache in sorted((checkout / top).rglob("__pycache__")):
+            shutil.rmtree(cache)
 
 
 def run_once(checkout: Path, workload: str, seed: int, env: dict) -> dict:
@@ -120,7 +123,7 @@ def main(argv=None) -> int:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     for checkout in sides.values():
-        compile_bytecode(checkout, env)
+        remove_bytecode(checkout)
 
     pairs = []
     for seed in range(args.seed, args.seed + args.pairs):

@@ -1,9 +1,10 @@
 """JSON-in, JSON-out command-line front end.
 
 Every subcommand is a thin delegate to a library function; output is a
-single JSON document on stdout.  Exit codes: 0 on success, 1 on a domain
-error (reported as an error JSON on stdout), 2 on a usage or schema
-error (diagnostic on stderr).
+single JSON document on stdout.  Each handler imports only the modules
+its function needs, so a request compiles no other part of the library.
+Exit codes: 0 on success, 1 on a domain error (reported as an error JSON
+on stdout), 2 on a usage or schema error (diagnostic on stderr).
 """
 
 from __future__ import annotations
@@ -12,27 +13,7 @@ import argparse
 import json
 import sys
 
-from .characters import (
-    Character,
-    NSymSeries,
-    char_to_series,
-    convolve,
-    series_inverse,
-    series_mul,
-)
-from .compositions import iterated_restrict, restrict_contract
-from .geometry import (
-    Point,
-    composition_of_point,
-    max_face_vertices,
-    normally_equivalent,
-    orbit_vertices,
-)
-from .hopf_algebra import HopfElement, antipode, coproduct, inject
-from .hopf_monoid import count_structures
-from .invariants import chi
 from .jsonio import composition_from_json, composition_to_json, frac_from_str, frac_to_str
-from .selftest import run_selftest
 
 
 # largest degree the graded-algebra and series subcommands accept (a composition's weight,
@@ -74,6 +55,8 @@ def _schema(field: str, convert, data, **kwargs):
 
 
 def _parse_point(text: str) -> Point:
+    from .geometry import Point
+
     return _schema("point", Point.from_json, _parse_json(text, "point"))
 
 
@@ -103,16 +86,22 @@ def _points_sorted(points) -> list[dict]:
 
 
 def cmd_classify(args) -> dict:
+    from .geometry import composition_of_point
+
     p = _parse_point(args.point[0])
     return {"composition": composition_to_json(composition_of_point(p))}
 
 
 def cmd_vertices(args) -> dict:
+    from .geometry import orbit_vertices
+
     p = _parse_point(args.point[0])
     return {"vertices": _points_sorted(orbit_vertices(p))}
 
 
 def cmd_maxface(args) -> dict:
+    from .geometry import max_face_vertices
+
     p = _parse_point(args.point[0])
     y = _parse_functional(args.functional)
     if set(y) != set(p.ground):
@@ -121,12 +110,16 @@ def cmd_maxface(args) -> dict:
 
 
 def cmd_normeq(args) -> dict:
+    from .geometry import normally_equivalent
+
     p = _parse_point(args.point[0])
     q = _parse_point(args.point[1])
     return {"normally_equivalent": normally_equivalent(p, q)}
 
 
 def cmd_delta(args) -> dict:
+    from .compositions import iterated_restrict, restrict_contract
+
     alpha = _parse_composition(args.composition)
     if (args.size is None) == (args.sizes is None):
         raise SchemaError("delta: give exactly one of --size or --sizes")
@@ -144,6 +137,8 @@ def cmd_delta(args) -> dict:
 
 
 def cmd_coproduct(args) -> dict:
+    from .hopf_algebra import coproduct, inject
+
     alpha = _parse_composition(args.composition)
     _check_degree_bound(alpha.weight)
     terms = coproduct(inject(alpha))
@@ -164,17 +159,23 @@ def cmd_coproduct(args) -> dict:
 
 
 def cmd_antipode(args) -> dict:
+    from .hopf_algebra import HopfElement, antipode
+
     x = _schema("element", HopfElement.from_json, _parse_json(args.element, "element"))
     _check_degree_bound(max((gm.degree for gm in x.coeffs), default=0))
     return {"element": antipode(x).to_json()}
 
 
 def cmd_chi(args) -> dict:
+    from .invariants import chi
+
     alpha = _parse_composition(args.composition)
     return chi(alpha).to_json(monomial=args.monomial)
 
 
 def cmd_convolve(args) -> dict:
+    from .characters import Character, char_to_series, convolve
+
     zeta, psi = (
         _schema("char", Character.from_json, _load_json_file(path, "char"), degree=args.degree)
         for path in args.char
@@ -185,27 +186,37 @@ def cmd_convolve(args) -> dict:
 
 
 def _load_series(path: str) -> NSymSeries:
+    from .characters import NSymSeries
+
     f = _schema("series", NSymSeries.from_json, _load_json_file(path, "series"))
     _check_degree_bound(f.degree)
     return f
 
 
 def cmd_series_mul(args) -> dict:
+    from .characters import series_mul
+
     f = _load_series(args.series[0])
     g = _load_series(args.series[1])
     return series_mul(f, g).to_json()
 
 
 def cmd_series_inv(args) -> dict:
+    from .characters import series_inverse
+
     f = _load_series(args.series[0])
     return series_inverse(f).to_json()
 
 
 def cmd_count(args) -> dict:
+    from .hopf_monoid import count_structures
+
     return {"count": count_structures(args.n)}
 
 
 def cmd_selftest(args) -> dict:
+    from .selftest import run_selftest
+
     return run_selftest(args.max_n)
 
 

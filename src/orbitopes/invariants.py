@@ -24,7 +24,6 @@ from operator import index
 from typing import Iterable, Mapping
 
 from .compositions import Composition, multinomial
-from .geometry import _check_bound
 from .hopf_monoid import OrbitClassElement, class_of, delta
 from .linear import Linear, combine
 
@@ -185,6 +184,8 @@ def chi_bruteforce_element(x: OrbitClassElement) -> BinomialPolynomial:
     tail depend only on its shape, the sorted block compositions, and
     each shape is counted once.
     """
+    from .geometry import _check_bound  # only the recount needs geometry's bound
+
     _check_bound(len(x.ground))
     memo: dict[tuple[Composition, ...], list[int]] = {}
 

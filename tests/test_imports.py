@@ -1,0 +1,91 @@
+"""The package loads its submodules lazily, and each subcommand only the ones it uses."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import orbitopes
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the names the package exported when it imported every submodule eagerly
+EXPORTED = {
+    "Composition", "compositions_of", "concat", "iterated_restrict", "multinomial", "near_concat",
+    "restrict_contract", "splits",
+    "GroundSet", "OrderedSetPartition", "Point", "SubmodularOracle", "chamber_census",
+    "check_base_polytope", "composition_of_point", "face_decomposition", "max_face_vertices",
+    "normally_equivalent", "orbit_vertices", "representative_point", "standard_ground",
+    "submodular_of_orbit",
+    "OrbitClassElement", "class_of", "count_structures", "delta", "delta_iterated", "mu", "relabel",
+    "GeneratorMultiset", "HopfElement", "TensorElement", "antipode", "coproduct", "counit", "inject",
+    "product",
+    "Character", "NSymSeries", "char_to_series", "convolve", "in_group_G", "invert_character",
+    "ribbon_mul", "series_inverse", "series_mul", "series_to_char",
+    "BinomialPolynomial", "basic_character", "chi", "chi_bruteforce", "chi_element", "from_monomial",
+    "to_monomial",
+}
+
+
+def fresh(code: str) -> tuple[object, set[str]]:
+    """Run ``code`` in a new interpreter; its value ``result`` and the orbitopes.* modules loaded."""
+    report = (
+        "import json, sys\n"
+        "mods = sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('orbitopes.'))\n"
+        "print(json.dumps([result, mods]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\n" + report],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result, mods = json.loads(proc.stdout.splitlines()[-1])
+    return result, set(mods)
+
+
+BASE = {"cli", "jsonio", "compositions"}
+
+
+@pytest.mark.parametrize("argv, code, extra", [
+    (["count", "--n", "4"], 0, {"hopf_monoid"}),
+    (["delta", "--composition", "[2, 1, 3]", "--size", "2"], 0, set()),
+    (["classify", "--point", '{"a": "1", "b": "2"}'], 0, {"geometry"}),
+    (["coproduct", "--composition", "[2, 1]"], 0, {"hopf_algebra", "linear"}),
+    (["chi", "--composition", "[2, 1]"], 0, {"invariants", "hopf_monoid", "linear"}),
+    (["coproduct"], 2, set()),  # usage error: argparse refuses before any handler runs
+])
+def test_each_subcommand_loads_only_the_modules_it_uses(argv, code, extra):
+    result, mods = fresh(
+        "import contextlib, io\n"
+        "from orbitopes import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    result = cli.run({argv!r})\n"
+    )
+    assert result == code
+    assert mods == BASE | extra
+
+
+def test_importing_the_package_loads_no_submodule():
+    result, mods = fresh("import orbitopes\nresult = orbitopes.__version__")
+    assert result == "0.1.0"
+    assert mods == set()
+
+
+def test_package_namespace():
+    assert len(orbitopes.__all__) == len(EXPORTED) and set(orbitopes.__all__) == EXPORTED
+    assert EXPORTED <= set(dir(orbitopes))
+    for name in orbitopes.__all__:
+        value = getattr(orbitopes, name)
+        assert value.__module__.startswith("orbitopes."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    from orbitopes import chi
+    from orbitopes.invariants import chi as defined
+
+    assert chi is defined
+    with pytest.raises(AttributeError, match="no_such_name"):
+        orbitopes.no_such_name
+    with pytest.raises(ImportError):
+        from orbitopes import no_such_name  # noqa: F401

@@ -117,3 +117,16 @@ def test_bench_pairs_summary_on_synthetic_runs():
         assert summary["wall_ref"]["within_bound"] is within, scale  # bound 25%
         assert summary["wall_ref"]["change_better_pairs"] == 0
         assert summary["ok_ratio"]["within_bound"]
+
+
+def test_bench_pairs_removes_the_bytecode_of_src_and_perfbench(tmp_path):
+    bench_pairs = load_script("bench_pairs.py")
+    kept = ["src/orbitopes/cli.py", "perfbench/run.py", "tests/__pycache__/t.cpython-311.pyc"]
+    removed = ["src/orbitopes/__pycache__/cli.cpython-311.pyc", "perfbench/__pycache__/run.cpython-311.pyc",
+               "src/orbitopes/sub/__pycache__/m.cpython-311.pyc"]
+    for name in kept + removed:
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text("")
+    bench_pairs.remove_bytecode(tmp_path)
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()) == sorted(kept)
+    assert not any(tmp_path.glob("src/**/__pycache__")) and not (tmp_path / "perfbench/__pycache__").exists()
