@@ -8,14 +8,14 @@ table has 2^(n-1) rows, all built before the first prints.
 
 With --check, each row is recomputed by the ordered-set-partition brute
 force and compared; the exit code is 1 if any row mismatches.  --check
-takes --n only up to the recount bound (8, or ``ORBITOPE_MAX_N``).
+takes --n only up to the recount bound ``geometry.BRUTE_FORCE_BOUND`` (8).
 """
 
 import argparse
 
+from orbitopes import geometry
 from orbitopes.cli import MAX_DEGREE
 from orbitopes.compositions import compositions_of
-from orbitopes.geometry import brute_force_bound
 from orbitopes.invariants import chi, chi_bruteforce, to_monomial
 
 
@@ -43,10 +43,7 @@ def main():
     if args.n > MAX_DEGREE:
         parser.error(f"--n {args.n} exceeds the degree bound {MAX_DEGREE}")
     if args.check:
-        try:
-            bound = brute_force_bound()
-        except ValueError as exc:
-            parser.error(str(exc))
+        bound = geometry.BRUTE_FORCE_BOUND
         if args.n > bound:
             parser.error(f"--n {args.n} exceeds the recount bound {bound} of --check")
 

@@ -16,14 +16,12 @@ _EXPORTS = {
         "near_concat", "restrict_contract", "splits",
     ),
     "geometry": (
-        "GroundSet", "OrderedSetPartition", "Point", "SubmodularOracle", "chamber_census",
-        "check_base_polytope", "composition_of_point", "face_decomposition", "max_face_vertices",
-        "normally_equivalent", "orbit_vertices", "representative_point", "standard_ground",
-        "submodular_of_orbit",
+        "GroundSet", "OrderedSetPartition", "Point", "chamber_census", "check_base_polytope",
+        "composition_of_point", "face_decomposition", "max_face_vertices", "normally_equivalent",
+        "orbit_vertices", "representative_point", "standard_ground",
     ),
     "hopf_monoid": (
-        "OrbitClassElement", "class_of", "count_structures", "delta", "delta_iterated", "mu",
-        "relabel",
+        "OrbitClassElement", "class_of", "count_structures", "delta", "mu",
     ),
     "hopf_algebra": (
         "GeneratorMultiset", "HopfElement", "TensorElement", "antipode", "coproduct", "counit",
@@ -31,11 +29,10 @@ _EXPORTS = {
     ),
     "characters": (
         "Character", "NSymSeries", "char_to_series", "convolve", "in_group_G",
-        "invert_character", "ribbon_mul", "series_inverse", "series_mul", "series_to_char",
+        "invert_character", "series_inverse", "series_mul", "series_to_char",
     ),
     "invariants": (
-        "BinomialPolynomial", "basic_character", "chi", "chi_bruteforce", "chi_element",
-        "from_monomial", "to_monomial",
+        "BinomialPolynomial", "chi", "chi_bruteforce", "to_monomial",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

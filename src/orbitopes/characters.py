@@ -29,8 +29,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Mapping
 
-from .compositions import EMPTY, ONE, Composition, _piece, concat, is_generator, near_concat
-from .hopf_monoid import OrbitClassElement
+from .compositions import EMPTY, ONE, Composition, _piece, is_generator
 from .jsonio import composition_from_json, composition_to_json, frac_from_str, frac_to_str
 from .linear import Linear
 
@@ -89,13 +88,6 @@ class Character:
             return self.values.get(ONE, Fraction(0)) ** alpha.weight
         return self.values.get(alpha, Fraction(0))
 
-    def on_element(self, x: OrbitClassElement) -> Fraction:
-        """Multiplicative value on a product of classes: product over blocks."""
-        out = Fraction(1)
-        for _, comp in x.blocks:
-            out *= self.on_composition(comp)
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Character)
@@ -132,15 +124,6 @@ class Character:
                 raise ValueError(f"composition {composition_to_json(alpha)} is given twice")
             values[alpha] = frac_from_str(item["value"])
         return cls(degree, values)
-
-
-def ribbon_mul(beta: Composition, gamma: Composition) -> tuple[Composition, ...]:
-    """Basis product: concatenation plus near-concatenation (one term if an operand is empty)."""
-    if not beta:
-        return (gamma,)
-    if not gamma:
-        return (beta,)
-    return (concat(beta, gamma), near_concat(beta, gamma))
 
 
 class NSymSeries(Linear):

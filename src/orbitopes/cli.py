@@ -54,7 +54,7 @@ def _schema(field: str, convert, data, **kwargs):
         raise SchemaError(f"{field}: {exc}") from exc
 
 
-def _parse_point(text: str) -> Point:
+def _parse_point(text: str):
     from .geometry import Point
 
     return _schema("point", Point.from_json, _parse_json(text, "point"))
@@ -185,7 +185,7 @@ def cmd_convolve(args) -> dict:
     return {"character": result.to_json(), "series": char_to_series(result).to_json()}
 
 
-def _load_series(path: str) -> NSymSeries:
+def _load_series(path: str):
     from .characters import NSymSeries
 
     f = _schema("series", NSymSeries.from_json, _load_json_file(path, "series"))

@@ -11,25 +11,23 @@ sorted coordinate multiset.
 ``GroundSet`` and ``OrderedSetPartition`` are validated ``tuple`` subclasses
 (of labels and of label frozensets): they compare, order and hash as tuples.
 
-Brute-force operations (vertex enumeration over all chambers, base
-polytope verification, and the labels a maximal face permutes) are
-guarded by a ground-set size bound, default ``DEFAULT_BOUND`` and
-overridable through the ``ORBITOPE_MAX_N`` environment variable.  The
-half-space check multiplies the coordinates by the lcm of their
-denominators once and maximizes every subset sum over all vertices on
-integers, by dynamic programming over the sub-multisets of coordinates
-still to be placed (at most 3^n table entries, not one scan per vertex).
-The vertex walk and the chamber census run on the integer ranks of the
-coordinates, and the census is built vertex first: every vertex's orders
-come from one list of within-tie permutations shared by all vertices.
-Every result is still built from, and returned as, ``Fraction``
-coordinates.  The enumeration helpers ``distinct_permutations`` and
-``subsets`` live here too.
+Brute-force operations (vertex enumeration, base polytope verification,
+the chamber census, the labels a maximal face permutes, and the invariant
+recount in ``invariants``) refuse a ground set larger than the one fixed
+bound ``BRUTE_FORCE_BOUND``, read at call time.  The half-space check
+multiplies the coordinates by the lcm of their denominators once and
+maximizes every subset sum over all vertices on integers, by dynamic
+programming over the sub-multisets of coordinates still to be placed (at
+most 3^n table entries, not one scan per vertex).  The vertex walk and
+the chamber census run on the integer ranks of the coordinates, and the
+census is built vertex first: every vertex's orders come from one list of
+within-tie permutations shared by all vertices.  Every result is still
+built from, and returned as, ``Fraction`` coordinates.  The enumeration
+helpers ``distinct_permutations`` and ``subsets`` live here too.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, groupby, permutations, product, starmap
@@ -40,32 +38,14 @@ from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 from .compositions import Composition, multinomial
 from .jsonio import frac_from_str, frac_to_str
 
-DEFAULT_BOUND = 8
+# largest ground set, or set of tied labels, that the brute-force work accepts
+BRUTE_FORCE_BOUND = 8
 T = TypeVar("T")
 
 
-def brute_force_bound() -> int:
-    env = os.environ.get("ORBITOPE_MAX_N")
-    if not env:
-        return DEFAULT_BOUND
-    # ASCII digits only: int() would also take signs, spaces, underscores and other scripts
-    if env.isascii() and env.isdigit():
-        try:
-            bound = int(env)
-        except ValueError:  # more digits than the interpreter converts
-            raise ValueError(
-                f"ORBITOPE_MAX_N must be a positive integer, got {len(env)} digits, "
-                "more than int() converts"
-            ) from None
-        if bound >= 1:
-            return bound
-    raise ValueError(f"ORBITOPE_MAX_N must be a positive integer, got {env!r}")
-
-
 def _check_bound(n: int):
-    limit = brute_force_bound()
-    if n > limit:
-        raise ValueError(f"brute-force bound exceeded: ground set of size {n} > {limit}")
+    if n > BRUTE_FORCE_BOUND:
+        raise ValueError(f"brute-force bound exceeded: ground set of size {n} > {BRUTE_FORCE_BOUND}")
 
 
 def distinct_permutations(values: Sequence[T]) -> Iterator[tuple[T, ...]]:
@@ -208,23 +188,6 @@ class OrderedSetPartition(tuple):
         return frozenset().union(*self)
 
 
-class SubmodularOracle:
-    """Set function z on a ground set with z(emptyset) = 0, tabulated on all subsets."""
-
-    def __init__(self, ground: GroundSet, values: Mapping[frozenset, Fraction]):
-        values = {frozenset(k): Fraction(v) for k, v in values.items()}
-        expected = {frozenset(s) for s in subsets(ground)}
-        if set(values) != expected:
-            raise ValueError("values must be given for every subset of the ground set")
-        if values[frozenset()] != 0:
-            raise ValueError("z(emptyset) must be 0")
-        self.ground = ground
-        self.values = values
-
-    def __call__(self, S: Iterable[str]) -> Fraction:
-        return self.values[frozenset(S)]
-
-
 def sorted_values(p: Point) -> tuple[Fraction, ...]:
     return tuple(sorted(p.values, reverse=True))
 
@@ -282,9 +245,10 @@ def max_face_vertices(p: Point, y: Mapping[str, Fraction]) -> set[Point]:
     partition = level_partition(y, p.ground)
     # only labels sharing a level set with others are permuted, as in orbit_vertices
     tied = sum(len(block) for block in partition if len(block) > 1)
-    limit = brute_force_bound()
-    if tied > limit:
-        raise ValueError(f"brute-force bound exceeded: {tied} labels in tied level sets > {limit}")
+    if tied > BRUTE_FORCE_BOUND:
+        raise ValueError(
+            f"brute-force bound exceeded: {tied} labels in tied level sets > {BRUTE_FORCE_BOUND}"
+        )
     values = sorted_values(p)
     per_block: list[list[tuple[Fraction, ...]]] = []
     start = 0
@@ -299,16 +263,6 @@ def max_face_vertices(p: Point, y: Mapping[str, Fraction]) -> set[Point]:
         flat = tuple(chain.from_iterable(choice))
         out.add(Point._of(p.ground, tuple(map(flat.__getitem__, gather))))
     return out
-
-
-def submodular_of_orbit(p: Point) -> SubmodularOracle:
-    """z(S) = sum of the |S| largest coordinates of p; the half-space data of the orbit polytope."""
-    values = sorted_values(p)
-    prefix = [Fraction(0)]
-    for v in values:
-        prefix.append(prefix[-1] + v)
-    table = {frozenset(S): prefix[len(S)] for S in subsets(p.ground)}
-    return SubmodularOracle(p.ground, table)
 
 
 def _max_subset_sums(scaled: list[int]) -> list[int]:
@@ -354,13 +308,15 @@ def _max_subset_sums(scaled: list[int]) -> list[int]:
 def check_base_polytope(p: Point) -> bool:
     """Verify the half-space description against the vertex description.
 
-    Every orbit vertex must satisfy sum(x) = z(I) and sum over S <= z(S)
-    for each proper nonempty S, and each such inequality must be attained
-    with equality by some vertex.  The coordinates are scaled once to
-    integers by the lcm of their denominators, which preserves every
-    comparison.  The maximum of each subset sum over all vertices comes
-    from ``_max_subset_sums``, an exhaustive and exact maximization that
-    never uses the closed form z(S) it is compared with; subsets are
+    Here z(S), the sum of the |S| largest coordinates of p, is the
+    submodular function of the orbit polytope, read off one prefix-sum
+    table.  Every orbit vertex must satisfy sum(x) = z(I) and sum over
+    S <= z(S) for each proper nonempty S, and each such inequality must be
+    attained with equality by some vertex.  The coordinates are scaled
+    once to integers by the lcm of their denominators, which preserves
+    every comparison.  The maximum of each subset sum over all vertices
+    comes from ``_max_subset_sums``, an exhaustive and exact maximization
+    that never uses the closed form z(S) it is compared with; subsets are
     bitmasks over the label positions, bit i standing for position i.
     """
     n = len(p.ground)

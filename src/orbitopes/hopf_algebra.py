@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping
 
-from .compositions import ONE, Composition, _integer, compositions_of, is_generator, splits
+from .compositions import ONE, Composition, _integer, is_generator, splits
 from .jsonio import composition_from_json, composition_to_json, frac_from_str, frac_to_str
 from .linear import Linear, combine
 
@@ -180,12 +180,6 @@ def _arity(arity) -> int:
     return arity
 
 
-def tensor(x: HopfElement, y: HopfElement) -> TensorElement:
-    return TensorElement._of(
-        {(k1, k2): v1 * v2 for k1, v1 in x.coeffs.items() for k2, v2 in y.coeffs.items()}, 2
-    )
-
-
 def _class(alpha: Composition) -> GeneratorMultiset:
     """The basis multiset of a composition: (1)^n for the one-part (n), else alpha itself."""
     if len(alpha) == 1:
@@ -264,26 +258,3 @@ def antipode(x: HopfElement) -> HopfElement:
     return HopfElement._of(combine(
         (key, v * w) for gm, v in x.coeffs.items() for key, w in _antipode_basis(gm).items()
     ))
-
-
-def generator_multisets(max_degree: int) -> list[GeneratorMultiset]:
-    """All basis multisets of total weight <= max_degree, by degree."""
-    max_degree = _integer(max_degree, "max_degree")
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
-    generators: list[Composition] = []
-    for w in range(1, max_degree + 1):
-        generators.extend(a for a in compositions_of(w) if is_generator(a))
-
-    out: list[GeneratorMultiset] = []
-
-    def extend(prefix: list[Composition], start: int, remaining: int):
-        out.append(_multiset(prefix))
-        for i in range(start, len(generators)):
-            alpha = generators[i]
-            if alpha.weight > remaining:
-                break  # the generators come in increasing weight
-            extend(prefix + [alpha], i, remaining - alpha.weight)
-
-    extend([], 0, max_degree)
-    return sorted(out, key=lambda gm: (gm.degree, gm))

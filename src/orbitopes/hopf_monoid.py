@@ -14,7 +14,7 @@ its overlap with the subset.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .compositions import ONE, Composition, _integer, restrict_contract
 from .jsonio import composition_from_json, composition_to_json
@@ -67,9 +67,6 @@ class OrbitClassElement:
         inner = " * ".join(f"O{tuple(c)}@{{{','.join(sorted(b))}}}" for b, c in parts)
         return inner if inner else "O()@{}"
 
-    def is_unit(self) -> bool:
-        return not self.ground
-
     def to_json(self) -> dict:
         ordered = sorted(self.blocks, key=lambda b: min(b[0]))
         return {
@@ -111,17 +108,6 @@ def class_of(alpha: Composition, ground: Iterable[str]) -> OrbitClassElement:
     return OrbitClassElement(ground, [(ground, alpha)])
 
 
-def relabel(x: OrbitClassElement, sigma: Mapping[str, str]) -> OrbitClassElement:
-    """Push the element through a bijection of label sets; compositions are untouched."""
-    if set(sigma) != set(x.ground):
-        raise ValueError("relabeling must be defined on exactly the ground set")
-    image = set(sigma.values())
-    if len(image) != len(x.ground):
-        raise ValueError("relabeling must be a bijection")
-    blocks = [(frozenset(sigma[l] for l in labels), comp) for labels, comp in x.blocks]
-    return OrbitClassElement(image, blocks)
-
-
 def mu(x: OrbitClassElement, y: OrbitClassElement) -> OrbitClassElement:
     """Merge two elements over disjoint label sets (the free commutative product)."""
     if x.ground & y.ground:
@@ -153,25 +139,6 @@ def delta(x: OrbitClassElement, S: Iterable[str]) -> tuple[OrbitClassElement, Or
         OrbitClassElement(S, left_blocks),
         OrbitClassElement(x.ground - S, right_blocks),
     )
-
-
-def delta_iterated(x: OrbitClassElement, parts) -> list[OrbitClassElement]:
-    """Split ``x`` along an ordered partition of its ground set.
-
-    ``parts`` is any sequence of label collections (an OrderedSetPartition
-    works); empty parts are allowed and produce unit factors.
-    """
-    part_sets = [frozenset(p) for p in parts]
-    total = sum(len(p) for p in part_sets)
-    union = frozenset().union(*part_sets) if part_sets else frozenset()
-    if union != x.ground or total != len(x.ground):
-        raise ValueError("parts must form an ordered partition of the ground set")
-    factors = []
-    rest = x
-    for part in part_sets:
-        left, rest = delta(rest, part)
-        factors.append(left)
-    return factors
 
 
 # largest n ``count_structures`` accepts; the Stirling row costs about n^2 big-integer steps

@@ -21,11 +21,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
 from operator import index
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .compositions import Composition, multinomial
 from .hopf_monoid import OrbitClassElement, class_of, delta
-from .linear import Linear, combine
+from .linear import Linear
 
 # largest composition weight ``chi`` accepts; its cost and output grow as weight^2
 CHI_MAX_WEIGHT = 200
@@ -51,27 +51,6 @@ class BinomialPolynomial(Linear):
 
     def __hash__(self) -> int:
         return hash(frozenset(self.coeffs.items()))
-
-    def __mul__(self, other: "BinomialPolynomial") -> "BinomialPolynomial":
-        """Product, carried out in the monomial basis and converted back."""
-        a = to_monomial(self)
-        b = to_monomial(other)
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-        return from_monomial(prod)
-
-    def evaluate(self, t) -> Fraction:
-        """Exact value at t, using falling factorials for binom(t, k)."""
-        t = Fraction(t)
-        total = Fraction(0)
-        for k, c in self.coeffs.items():
-            term = Fraction(1)
-            for i in range(k):
-                term = term * (t - i) / (i + 1)
-            total += c * term
-        return total
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -111,20 +90,6 @@ def to_monomial(p: BinomialPolynomial) -> list[Fraction]:
     return [Fraction(v, denominator) for v in numerators]
 
 
-def from_monomial(coeffs: Iterable[Fraction]) -> BinomialPolynomial:
-    """Inverse basis change: t^m = sum over k of k! S(m, k) binom(t, k), a surjection row."""
-    return BinomialPolynomial._of(combine(
-        (k, c * s)
-        for m, c in enumerate(map(Fraction, coeffs)) if c
-        for k, s in enumerate(_surjection_row(m))
-    ))
-
-
-def basic_character(alpha: Composition) -> Fraction:
-    """1 on points (at most one part, including the empty composition), else 0."""
-    return Fraction(1) if len(alpha) <= 1 else Fraction(0)
-
-
 def _surjection_row(a: int) -> list[int]:
     """j! S(a, j) for j = 0..a: the surjections of a labels onto j ordered pieces."""
     row = [1]
@@ -154,14 +119,6 @@ def chi(alpha: Composition) -> BinomialPolynomial:
         coeffs = conv
     scale = multinomial(n, alpha)
     return BinomialPolynomial({k: scale * c for k, c in enumerate(coeffs) if c})
-
-
-def chi_element(x: OrbitClassElement) -> BinomialPolynomial:
-    """Invariant of a product of classes: product of the blockwise invariants."""
-    out = BinomialPolynomial({0: Fraction(1)})
-    for _, comp in x.blocks:
-        out = out * chi(comp)
-    return out
 
 
 def chi_bruteforce(alpha: Composition) -> BinomialPolynomial:

@@ -30,7 +30,13 @@ def frac_from_str(s) -> Fraction:
     if not _RATIONAL.fullmatch(s):
         raise ValueError(f"malformed rational {s!r}")
     p, _, q = s.partition("/")
-    p, q = int(p), int(q or 1)
+    try:
+        p, q = int(p), int(q or 1)
+    except ValueError:  # more digits than the interpreter converts
+        digits = max(len(p.lstrip("-")), len(q))
+        raise ValueError(
+            f"rational with a part of {digits} digits, more than int() converts"
+        ) from None
     if q == 0 or gcd(p, q) != 1:
         raise ValueError(f"malformed rational {s!r}: q must be positive and coprime to p")
     return Fraction(p, q)

@@ -16,11 +16,11 @@ from fractions import Fraction
 from functools import wraps
 from typing import Callable, Iterator
 
+from . import geometry
 from .characters import Character, char_to_series, convolve, in_group_G
 from .compositions import _integer, compositions_of, concat, is_generator, near_concat, splits
 from .geometry import (
     Point,
-    brute_force_bound,
     chamber_census,
     check_base_polytope,
     composition_of_point,
@@ -229,11 +229,11 @@ def suite_characters(count: int, degree: int) -> Iterator[bool]:
 def run_selftest(max_n: int = 5) -> dict:
     """Run every suite; sizes scale down from ``max_n`` where a suite is costly.
 
-    ``max_n`` must lie in 1..brute_force_bound(): the splits suite walks
-    every composition of each n up to it.
+    ``max_n`` must lie in 1..``geometry.BRUTE_FORCE_BOUND``: the splits
+    suite walks every composition of each n up to it.
     """
     max_n = _integer(max_n, "selftest max_n")
-    bound = brute_force_bound()
+    bound = geometry.BRUTE_FORCE_BOUND
     if not 1 <= max_n <= bound:
         raise ValueError(f"selftest max_n must be in the range 1..{bound}, got {max_n}")
     small = min(max_n, 5)

@@ -13,13 +13,15 @@ or from a depth-first walk over every ordered set partition, and
 structure counts from the recurrence on the block holding the last label
 or from a literal sum over set partitions.  Set partitions and ordered
 set partitions are enumerated recursively here, for the tests alone.
-The refinements of a composition, the exhaustive checks on a submodular
-function, the per-vertex scan of every subset sum behind the base
-polytope check, the order-by-order walk of the chamber census, and the
-slotwise antipode and product that state the antipode identity live
-here too, as only tests use them.  The generating-function coefficients
-of the structure counts have one copy, ``orbitopes.selftest.egf_counts``,
-which the tests import.
+The refinements of a composition, the submodular function z(S) of an
+orbit polytope as a dict over every subset and the exhaustive checks on
+it, the per-vertex scan of every subset sum behind the base polytope
+check, the order-by-order walk of the chamber census, the ribbon basis
+product, relabeling and iterated splits of monoid elements (to state
+naturality and coassociativity), and the slotwise antipode and product
+that state the antipode identity live here too, as only tests use them.
+The generating-function coefficients of the structure counts have one
+copy, ``orbitopes.selftest.egf_counts``, which the tests import.
 """
 
 from fractions import Fraction
@@ -27,7 +29,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, combinations, groupby, permutations, product as cartesian
 from math import comb
 
-from orbitopes.characters import Character, NSymSeries, ribbon_mul
+from orbitopes.characters import Character, NSymSeries
 from orbitopes.compositions import (
     Composition,
     compositions_of,
@@ -39,10 +41,10 @@ from orbitopes.compositions import (
 )
 from orbitopes.geometry import (
     Point,
-    SubmodularOracle,
     distinct_permutations,
     orbit_vertices,
     sorted_values,
+    subsets,
 )
 from orbitopes.hopf_algebra import (
     GeneratorMultiset,
@@ -166,20 +168,25 @@ def order_first_census(p: Point) -> dict[tuple[str, ...], Point]:
     return census
 
 
-def is_submodular(z: SubmodularOracle) -> bool:
+def submodular_of_orbit(p: Point) -> dict[frozenset, Fraction]:
+    """z(S) = sum of the |S| largest coordinates of p, for every subset S of the labels."""
+    prefix = list(accumulate(sorted_values(p), initial=Fraction(0)))
+    return {frozenset(S): prefix[len(S)] for S in subsets(p.ground)}
+
+
+def is_submodular(z: dict[frozenset, Fraction]) -> bool:
     """Exhaustive check of z(S&T) + z(S|T) <= z(S) + z(T) over all pairs."""
-    sets = list(z.values)
-    for S in sets:
-        for T in sets:
-            if z.values[S & T] + z.values[S | T] > z.values[S] + z.values[T]:
+    for S in z:
+        for T in z:
+            if z[S & T] + z[S | T] > z[S] + z[T]:
                 return False
     return True
 
 
-def is_cardinality_invariant(z: SubmodularOracle) -> bool:
+def is_cardinality_invariant(z: dict[frozenset, Fraction]) -> bool:
     """True iff z(S) depends only on |S|."""
     by_size: dict[int, Fraction] = {}
-    for S, v in z.values.items():
+    for S, v in z.items():
         if by_size.setdefault(len(S), v) != v:
             return False
     return True
@@ -213,6 +220,15 @@ def binom_frac(t, k) -> Fraction:
     for i in range(k):
         out = out * (t - i) / (i + 1)
     return out
+
+
+def ribbon_mul(beta: Composition, gamma: Composition) -> tuple[Composition, ...]:
+    """Basis product: concatenation plus near-concatenation (one term if an operand is empty)."""
+    if not beta:
+        return (gamma,)
+    if not gamma:
+        return (beta,)
+    return (concat(beta, gamma), near_concat(beta, gamma))
 
 
 def pairwise_series_mul(f: NSymSeries, g: NSymSeries) -> NSymSeries:
@@ -379,3 +395,33 @@ def recurrence_count(n: int) -> int:
             comb(m - 1, k - 1) * classes_on_block(k) * counts[m - k] for k in range(1, m + 1)
         ))
     return counts[n]
+
+
+def relabel(x: OrbitClassElement, sigma) -> OrbitClassElement:
+    """Push the element through a bijection of label sets; compositions are untouched."""
+    if set(sigma) != set(x.ground):
+        raise ValueError("relabeling must be defined on exactly the ground set")
+    image = set(sigma.values())
+    if len(image) != len(x.ground):
+        raise ValueError("relabeling must be a bijection")
+    blocks = [(frozenset(sigma[l] for l in labels), comp) for labels, comp in x.blocks]
+    return OrbitClassElement(image, blocks)
+
+
+def delta_iterated(x: OrbitClassElement, parts) -> list[OrbitClassElement]:
+    """Split ``x`` along an ordered partition of its ground set, one ``delta`` per part.
+
+    ``parts`` is any sequence of label collections; empty parts are allowed
+    and produce unit factors.
+    """
+    part_sets = [frozenset(p) for p in parts]
+    total = sum(len(p) for p in part_sets)
+    union = frozenset().union(*part_sets)
+    if union != x.ground or total != len(x.ground):
+        raise ValueError("parts must form an ordered partition of the ground set")
+    factors = []
+    rest = x
+    for part in part_sets:
+        left, rest = delta(rest, part)
+        factors.append(left)
+    return factors

@@ -39,14 +39,13 @@ from orbitopes.hopf_algebra import (
     coproduct,
     coproduct_in_slot,
     counit,
-    generator_multisets,
     product as halg_product,
     inject,
 )
 from orbitopes.hopf_monoid import count_structures
 from orbitopes.invariants import BinomialPolynomial, chi, to_monomial
 from orbitopes.selftest import egf_counts, random_character, random_point, suite_chi, suite_delta_geometry
-from oracles import apply_antipode_slot, multiply_slots, pairwise_series_mul
+from oracles import apply_antipode_slot, multiply_slots, pairwise_series_mul, partition_multisets
 
 C = Composition
 F = Fraction
@@ -135,7 +134,7 @@ def test_criterion_5_delta_agrees_with_geometry():
 
 def test_criterion_6_hopf_axioms_degree_6():
     with criterion(6, 30.0, "coassociativity, morphism, counit, antipode on basis degree <= 6"):
-        basis = generator_multisets(6)
+        basis = partition_multisets(6)
         unit = HopfElement.unit()
         for b in basis:
             x = HopfElement.basis(b)

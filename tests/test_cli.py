@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from orbitopes import geometry
 from orbitopes.cli import MAX_DEGREE, run
 from orbitopes.characters import Character, NSymSeries, char_to_series, convolve, series_inverse, series_mul
 from orbitopes.compositions import Composition
@@ -45,7 +46,7 @@ def test_vertices_size_bound(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "vertices", "--point", point)
     assert code == 1 and "bound" in json.loads(out)["error"]
 
-    monkeypatch.setenv("ORBITOPE_MAX_N", "9")
+    monkeypatch.setattr(geometry, "BRUTE_FORCE_BOUND", 9)
     code, out, _ = invoke(capsys, "vertices", "--point", point)
     assert code == 0 and len(json.loads(out)["vertices"]) == 9
 
@@ -289,26 +290,7 @@ def test_degree_bound(tmp_path, capsys):
     assert code == 0 and json.loads(out)["character"]["degree"] == 4
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
-def test_malformed_max_n_is_exit_1(capsys, monkeypatch, value):
-    monkeypatch.setenv("ORBITOPE_MAX_N", value)
-    message = {"error": f"ORBITOPE_MAX_N must be a positive integer, got {value!r}"}
-    for argv in (["vertices", "--point", P1], ["selftest", "--max-n", "1"]):
-        code, out, err = invoke(capsys, *argv)
-        assert code == 1 and err == "" and json.loads(out) == message, argv
-
-
-def test_max_n_past_the_digit_limit_is_exit_1(capsys, monkeypatch):
-    monkeypatch.setenv("ORBITOPE_MAX_N", "9" * 5000)
-    code, out, err = invoke(capsys, "vertices", "--point", P1)
-    assert code == 1 and err == ""
-    assert json.loads(out) == {
-        "error": "ORBITOPE_MAX_N must be a positive integer, got 5000 digits, more than int() converts"
-    }
-
-
-def test_maxface_size_bound(capsys, monkeypatch):
-    monkeypatch.delenv("ORBITOPE_MAX_N", raising=False)
+def test_maxface_size_bound(capsys):
     point = json.dumps({str(i): str(i) for i in range(12)})
     levels = [0] * 4 + [1] * 4 + [2, 3, 4, 5]  # two tied fours, eight tied labels
     ranked = json.dumps({str(i): str(v) for i, v in enumerate(levels)})
@@ -399,6 +381,15 @@ def test_malformed_json_is_exit_2(tmp_path, capsys):
         code, out, err = invoke(capsys, "classify", "--point", point)
         assert code == 2 and out == "" and "malformed rational" in err, value
 
+    # more digits than int() converts: the message names the count, not the interpreter's limit
+    huge = write("huge.json", {"degree": 2, "coeffs": [{"composition": [], "coeff": "9" * 5000}]})
+    code, out, err = invoke(capsys, "series-inv", "--series", huge)
+    assert (code, out) == (2, "")
+    assert err == "error: series: rational with a part of 5000 digits, more than int() converts\n"
+    for value, digits in [("-" + "9" * 4301, 4301), ("1/" + "7" * 4400, 4400)]:
+        code, out, err = invoke(capsys, "classify", "--point", json.dumps({"a": value}))
+        assert (code, out) == (2, "") and f"a part of {digits} digits" in err, digits
+
 
 def test_unknown_command_is_exit_2(capsys):
     assert invoke(capsys, "no-such-command")[0] == 2
@@ -452,8 +443,7 @@ def test_run_selftest_refuses_a_non_integer(value):
 
 
 @pytest.mark.parametrize("max_n", ["0", "-3", "9"])
-def test_selftest_max_n_range(capsys, monkeypatch, max_n):
-    monkeypatch.delenv("ORBITOPE_MAX_N", raising=False)
+def test_selftest_max_n_range(capsys, max_n):
     code, out, err = invoke(capsys, "selftest", "--max-n", max_n)
     assert code == 1 and err == ""
     assert json.loads(out) == {"error": f"selftest max_n must be in the range 1..8, got {max_n}"}

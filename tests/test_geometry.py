@@ -7,13 +7,13 @@ from math import lcm
 import pytest
 from hypothesis import given, strategies as st
 
+from orbitopes import geometry
 from orbitopes.compositions import Composition, compositions_of, multinomial
 from orbitopes.geometry import (
     GroundSet,
     OrderedSetPartition,
     Point,
     _max_subset_sums,
-    brute_force_bound,
     chamber_census,
     check_base_polytope,
     composition_of_point,
@@ -24,7 +24,6 @@ from orbitopes.geometry import (
     orbit_vertices,
     representative_point,
     standard_ground,
-    submodular_of_orbit,
     vertex_count,
 )
 from orbitopes.selftest import random_point, suite_normal_equivalence
@@ -33,6 +32,7 @@ from oracles import (
     is_submodular,
     naive_max_face,
     order_first_census,
+    submodular_of_orbit,
     vertex_scan_table,
 )
 
@@ -192,14 +192,20 @@ def test_max_face_matches_naive_argmax():
 
 def test_submodular_of_orbit_examples():
     z = submodular_of_orbit(pt(2, 1, 0))
-    assert z({"1"}) == 2 and z({"2"}) == 2 and z({"1", "2"}) == 3
-    assert z({"1", "2", "3"}) == 3 and z(()) == 0
+    assert z[frozenset("1")] == 2 and z[frozenset("2")] == 2 and z[frozenset("12")] == 3
+    assert z[frozenset("123")] == 3 and z[frozenset()] == 0
 
     z = submodular_of_orbit(pt(5, 5, 5))
-    assert all(z(S) == 5 * len(S) for S in z.values)
+    assert len(z) == 8 and all(v == 5 * len(S) for S, v in z.items())
 
     z = submodular_of_orbit(pt(1, 0, 0, 0))
-    assert all(z(S) == 1 for S in z.values if S)
+    assert all(v == 1 for S, v in z.items() if S)
+
+    # z(S) is the largest sum over S at any vertex, which check_base_polytope compares it with
+    p = pt(F(3, 2), -1, F(3, 2), 0)
+    vertices = orbit_vertices(p)
+    for S, v in submodular_of_orbit(p).items():
+        assert v == max(sum((q[l] for l in S), F(0)) for q in vertices), S
 
 
 @given(st_point)
@@ -207,12 +213,6 @@ def test_submodular_oracle_properties(p):
     z = submodular_of_orbit(p)
     assert is_submodular(z)
     assert is_cardinality_invariant(z)
-
-
-def test_submodular_oracle_validation():
-    g = standard_ground(1)
-    with pytest.raises(ValueError, match="every subset"):
-        type(submodular_of_orbit(pt(1)))(g, {frozenset(): F(0)})
 
 
 def test_check_base_polytope_examples():
@@ -242,52 +242,25 @@ def test_max_subset_sums_matches_the_vertex_scan():
 
 def test_check_base_polytope_on_ten_distinct_coordinates(monkeypatch):
     # 10! vertices times 2^10 subsets is out of reach of a per-vertex scan
-    monkeypatch.setenv("ORBITOPE_MAX_N", "10")
+    monkeypatch.setattr(geometry, "BRUTE_FORCE_BOUND", 10)
     assert check_base_polytope(pt(*(F(k * k - 20, k + 1) for k in range(10))))
 
 
 def test_check_base_polytope_bound(monkeypatch):
-    with pytest.raises(ValueError, match="brute-force bound"):
+    assert geometry.BRUTE_FORCE_BOUND == 8
+    assert check_base_polytope(pt(*range(8)))
+    with pytest.raises(ValueError, match="ground set of size 9 > 8"):
         check_base_polytope(pt(*range(9)))
-    monkeypatch.setenv("ORBITOPE_MAX_N", "4")
+    # each bounded call reads the bound when it runs
+    monkeypatch.setattr(geometry, "BRUTE_FORCE_BOUND", 4)
     assert check_base_polytope(pt(*range(4)))
     with pytest.raises(ValueError, match="ground set of size 5 > 4"):
         check_base_polytope(pt(*range(5)))
-
-
-def test_env_var_overrides_bound(monkeypatch):
-    monkeypatch.setenv("ORBITOPE_MAX_N", "3")
-    with pytest.raises(ValueError, match="brute-force bound"):
+    monkeypatch.setattr(geometry, "BRUTE_FORCE_BOUND", 3)
+    with pytest.raises(ValueError, match="ground set of size 4 > 3"):
         chamber_census(pt(1, 2, 3, 4))
-    monkeypatch.setenv("ORBITOPE_MAX_N", "9")
-    assert check_base_polytope(pt(1, 0, 0, 0))
-
-
-def test_brute_force_bound_reads_a_positive_integer(monkeypatch):
-    monkeypatch.delenv("ORBITOPE_MAX_N", raising=False)
-    assert brute_force_bound() == 8
-    monkeypatch.setenv("ORBITOPE_MAX_N", "5")
-    assert brute_force_bound() == 5
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
-def test_brute_force_bound_refuses_a_malformed_value(monkeypatch, value):
-    monkeypatch.setenv("ORBITOPE_MAX_N", value)
-    message = f"ORBITOPE_MAX_N must be a positive integer, got {value!r}"
-    with pytest.raises(ValueError) as info:
-        brute_force_bound()
-    assert str(info.value) == message
-    with pytest.raises(ValueError, match="must be a positive integer"):
-        orbit_vertices(pt(1, 0))
-
-
-def test_brute_force_bound_names_the_variable_past_the_digit_limit(monkeypatch):
-    # int() refuses more than 4300 digits; the error must still name the variable
-    monkeypatch.setenv("ORBITOPE_MAX_N", "9" * 5000)
-    message = "ORBITOPE_MAX_N must be a positive integer, got 5000 digits, more than int() converts"
-    with pytest.raises(ValueError) as info:
-        brute_force_bound()
-    assert str(info.value) == message
+    with pytest.raises(ValueError, match="ground set of size 4 > 3"):
+        orbit_vertices(pt(1, 2, 3, 4))
 
 
 def test_chamber_census_examples():

@@ -18,10 +18,8 @@ from orbitopes.hopf_algebra import (
     coproduct,
     coproduct_in_slot,
     counit,
-    generator_multisets,
     inject,
     product,
-    tensor,
 )
 from orbitopes.hopf_monoid import class_of, delta
 from oracles import (
@@ -63,29 +61,11 @@ def test_generator_multiset_validation():
 
 def test_union_is_the_validating_constructor():
     rng = random.Random(7)
-    pool = generator_multisets(6)
+    pool = partition_multisets(6)
     for _ in range(200):
         a, b = rng.choice(pool), rng.choice(pool)
         merged = a.union(b)
         assert type(merged) is GeneratorMultiset and merged == GeneratorMultiset(a + b), (a, b)
-
-
-def test_generator_multisets_match_partition_oracle():
-    for degree in range(9):
-        assert generator_multisets(degree) == partition_multisets(degree), degree
-    assert len(generator_multisets(11)) == 9391
-
-
-@pytest.mark.parametrize("value", [2.0, "3"])
-def test_generator_multisets_refuses_a_non_integer(value):
-    with pytest.raises(ValueError, match=f"^max_degree must be an integer, got {value!r}$"):
-        generator_multisets(value)
-
-
-def test_generator_multisets_refuses_a_negative_degree():
-    with pytest.raises(ValueError, match="^max_degree must be nonnegative, got -1$"):
-        generator_multisets(-1)
-    assert generator_multisets(0) == [GeneratorMultiset(())]
 
 
 BAD_ARITIES = [
@@ -166,10 +146,9 @@ def test_one_part_relation_is_well_defined():
         via_product = TensorElement.unit()
         for _ in range(n):
             via_product = via_product * coproduct(inject(C((1,))))
-        direct = TensorElement({})
-        for i in range(n + 1):
-            pair = tensor(inject(C((i,)) if i else C(())), inject(C((n - i,)) if n - i else C(())))
-            direct = direct + comb(n, i) * pair
+        direct = TensorElement({
+            (gm(*[(1,)] * i), gm(*[(1,)] * (n - i))): comb(n, i) for i in range(n + 1)
+        })
         assert via_product == direct
 
 
@@ -196,7 +175,7 @@ def test_coproduct_in_slot_refuses_a_slot_outside_the_tensor(slot):
 
 def test_coproduct_is_algebra_morphism_on_random_elements():
     rng = random.Random(3)
-    basis_pool = generator_multisets(5)
+    basis_pool = partition_multisets(5)
     for _ in range(40):
         x = HopfElement({rng.choice(basis_pool): F(rng.randint(-4, 4), rng.randint(1, 3))
                          for _ in range(3)})
@@ -214,7 +193,7 @@ def test_antipode_examples():
 
 def test_antipode_identity_small():
     unit_times_counit = lambda x: counit(x) * HopfElement.unit()
-    for basis in generator_multisets(4):
+    for basis in partition_multisets(4):
         x = HopfElement.basis(basis)
         cp = coproduct(x)
         left = multiply_slots(apply_antipode_slot(cp, 0))
@@ -225,7 +204,7 @@ def test_antipode_identity_small():
 
 def test_antipode_matches_recursion_and_is_multiplicative():
     # per-generator antipode against the degree recursion on whole multisets
-    pool = generator_multisets(6)
+    pool = partition_multisets(6)
     for basis in pool:
         x = HopfElement.basis(basis)
         assert antipode(x) == recursive_antipode(x), basis
@@ -299,7 +278,7 @@ def _assert_trusted(coeffs: dict, arity: int = 0):
 
 def test_public_maps_build_trusted_elements():
     rng = random.Random(29)
-    pool = generator_multisets(8)
+    pool = partition_multisets(8)
     assert len(pool) == 730
     scalars = [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7)) for _ in pool]
     assert any(c < 0 for c in scalars) and any(c.denominator > 1 for c in scalars)
@@ -317,10 +296,10 @@ def test_public_maps_build_trusted_elements():
 def test_basis_caches_are_bounded_and_hold_integers():
     # the composition layer keeps no cache: the two basis caches are the algebra's only state
     assert not [f for f in vars(compositions).values() if hasattr(f, "cache_info")]
-    basis = generator_multisets(5)
+    basis = partition_multisets(5)
     for cache in (_coproduct_basis, _antipode_basis):
         # the warm pass over every multiset of degree <= 9 must stay all hits
         assert cache.cache_info().maxsize is not None
-        assert cache.cache_info().maxsize >= len(generator_multisets(9))
+        assert cache.cache_info().maxsize >= len(partition_multisets(9))
         for gm in basis:
             assert all(type(v) is int and v for v in cache(gm).values()), gm
