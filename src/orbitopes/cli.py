@@ -39,9 +39,16 @@ def _check_repeats(args) -> None:
 
 
 def _parse_json(text: str, what: str):
-    # ValueError covers integers past the digit limit; RecursionError, nesting too deep
+    def parse_int(digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # more digits than the interpreter converts
+            count = len(digits.lstrip("-"))
+            raise SchemaError(f"{what}: JSON integer of {count} digits, more than int() converts") from None
+
+    # RecursionError: nesting too deep
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=parse_int)
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{what}: invalid JSON ({exc})") from exc
 
@@ -81,8 +88,11 @@ def _load_json_file(path: str, what: str):
     return _parse_json(text, f"{what} {path}")
 
 
-def _points_sorted(points) -> list[dict]:
-    return [p.to_json() for p in sorted(points, key=lambda p: p.values)]
+def _vertex_rows(ground, distinct, arrangements) -> list[dict]:
+    # each distinct value is printed once; rank 0 is the largest value, so decreasing
+    # rank tuples are the vertices in increasing lexicographic order of their values
+    text = [frac_to_str(v) for v in distinct]
+    return [dict(zip(ground, map(text.__getitem__, r))) for r in sorted(arrangements, reverse=True)]
 
 
 def cmd_classify(args) -> dict:
@@ -93,20 +103,20 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_vertices(args) -> dict:
-    from .geometry import orbit_vertices
+    from .geometry import _orbit_ranks
 
     p = _parse_point(args.point[0])
-    return {"vertices": _points_sorted(orbit_vertices(p))}
+    return {"vertices": _vertex_rows(p.ground, *_orbit_ranks(p))}
 
 
 def cmd_maxface(args) -> dict:
-    from .geometry import max_face_vertices
+    from .geometry import _max_face_ranks
 
     p = _parse_point(args.point[0])
     y = _parse_functional(args.functional)
     if set(y) != set(p.ground):
         raise SchemaError("functional: must be defined on exactly the point's labels")
-    return {"vertices": _points_sorted(max_face_vertices(p, y))}
+    return {"vertices": _vertex_rows(p.ground, *_max_face_ranks(p, y))}
 
 
 def cmd_normeq(args) -> dict:

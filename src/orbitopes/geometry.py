@@ -18,12 +18,15 @@ bound ``BRUTE_FORCE_BOUND``, read at call time.  The half-space check
 multiplies the coordinates by the lcm of their denominators once and
 maximizes every subset sum over all vertices on integers, by dynamic
 programming over the sub-multisets of coordinates still to be placed (at
-most 3^n table entries, not one scan per vertex).  The vertex walk and
-the chamber census run on the integer ranks of the coordinates, and the
-census is built vertex first: every vertex's orders come from one list of
-within-tie permutations shared by all vertices.  Every result is still
-built from, and returned as, ``Fraction`` coordinates.  The enumeration
-helpers ``distinct_permutations`` and ``subsets`` live here too.
+most 3^n table entries, not one scan per vertex).  The vertex walks
+(``orbit_vertices``, ``max_face_vertices``) and the chamber census run on
+the integer ranks of the coordinates, and the census is built vertex
+first: every vertex's orders come from one list of within-tie
+permutations shared by all vertices.  A ``Point`` caches its hash; the
+vertex walks compute it from one hash per distinct coordinate value, so
+no ``Fraction`` is hashed per coordinate.  Every result is still built
+from, and returned as, ``Fraction`` coordinates.  The enumeration helpers
+``distinct_permutations`` and ``subsets`` live here too.
 """
 
 from __future__ import annotations
@@ -109,15 +112,22 @@ def standard_ground(n: int) -> GroundSet:
 
 
 class Point:
-    """Rational point indexed by a ground set's labels."""
+    """Rational point indexed by a ground set's labels.
 
-    __slots__ = ("ground", "values")
+    A point hashes as ``hash((ground, values))``, computed the first time it
+    is asked for and cached.  The vertex walks pass it in precomputed from
+    one hash per distinct coordinate value, since ``Fraction.__hash__`` is
+    Python code with a modular inverse per call.
+    """
+
+    __slots__ = ("ground", "values", "_hash")
 
     def __init__(self, ground: GroundSet, coords: Mapping[str, Fraction]):
         if set(coords) != set(ground):
             raise ValueError("coordinates must be given for exactly the ground-set labels")
         self.ground = ground
         self.values = tuple(Fraction(coords[l]) for l in ground)
+        self._hash = None
 
     @classmethod
     def from_values(cls, ground: GroundSet, values: Iterable[Fraction]) -> "Point":
@@ -127,11 +137,13 @@ class Point:
         return cls._of(ground, values)
 
     @classmethod
-    def _of(cls, ground: GroundSet, values: tuple[Fraction, ...]) -> "Point":
-        # trusted: ``values`` is a tuple of Fractions already in ground order
+    def _of(cls, ground: GroundSet, values: tuple[Fraction, ...], hash_: int | None = None) -> "Point":
+        # trusted: ``values`` is a tuple of Fractions already in ground order,
+        # ``hash_`` None or equal to hash((ground, values))
         self = object.__new__(cls)
         self.ground = ground
         self.values = values
+        self._hash = hash_
         return self
 
     def __getitem__(self, label: str) -> Fraction:
@@ -148,7 +160,13 @@ class Point:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ground, self.values))
+        if self._hash is None:
+            self._hash = hash((self.ground, self.values))
+        return self._hash
+
+    def __reduce__(self):
+        # the cached hash depends on the process's string hash seed: never pickle it
+        return Point.from_values, (self.ground, self.values)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{l}={v}" for l, v in zip(self.ground, self.values))
@@ -209,37 +227,51 @@ def _ranks(p: Point) -> tuple[list[Fraction], list[int]]:
     return distinct, ranks
 
 
+def _points_of_ranks(
+    ground: GroundSet, distinct: list[Fraction], arrangements: Iterable[tuple[int, ...]]
+) -> Iterator[Point]:
+    """The ``Point`` of each tuple of ranks into ``distinct``, its hash precomputed.
+
+    A tuple's hash depends only on its items' hashes, and hash(h) == h for
+    the hash h of any number, so the tuple of the ranks' value hashes hashes
+    like the values themselves: each Point's hash equals hash((ground, values))
+    while ``Fraction.__hash__`` runs once per distinct value, not per coordinate.
+    """
+    value_of = distinct.__getitem__
+    hash_of = list(map(hash, distinct)).__getitem__
+    of = Point._of
+    for ranks in arrangements:
+        yield of(ground, tuple(map(value_of, ranks)), hash((ground, tuple(map(hash_of, ranks)))))
+
+
+def _orbit_ranks(p: Point) -> tuple[list[Fraction], Iterator[tuple[int, ...]]]:
+    """The distinct coordinates of p, decreasing, and each vertex as ranks into them in ground order."""
+    _check_bound(len(p.ground))
+    distinct, ranks = _ranks(p)
+    return distinct, distinct_permutations(ranks)
+
+
 def orbit_vertices(p: Point) -> set[Point]:
     """All distinct coordinate rearrangements of p; these are the orbit polytope's vertices.
 
-    The rearrangements are walked on the integer ranks of the coordinates,
-    one step per vertex, and each is mapped back to its ``Fraction`` values.
+    The rearrangements are walked on the integer ranks of the coordinates
+    and each is mapped back to its ``Fraction`` values.
     """
-    _check_bound(len(p.ground))
-    distinct, ranks = _ranks(p)
-    value_of = distinct.__getitem__
-    return {
-        Point._of(p.ground, tuple(map(value_of, arrangement)))
-        for arrangement in distinct_permutations(ranks)
-    }
+    return set(_points_of_ranks(p.ground, *_orbit_ranks(p)))
 
 
 def level_partition(y: Mapping[str, Fraction], ground: GroundSet) -> OrderedSetPartition:
     """Level sets of the functional y, ordered by decreasing value."""
-    levels: dict[Fraction, set[str]] = {}
-    for label in ground:
-        levels.setdefault(Fraction(y[label]), set()).add(label)
-    blocks = tuple(frozenset(levels[v]) for v in sorted(levels, reverse=True))
-    return OrderedSetPartition(blocks)
+    # grouped after a sort, not keyed by value: no Fraction is hashed
+    value = {label: Fraction(y[label]) for label in ground}
+    ordered = sorted(ground, key=value.__getitem__, reverse=True)
+    return OrderedSetPartition(run for _, run in groupby(ordered, key=value.__getitem__))
 
 
-def max_face_vertices(p: Point, y: Mapping[str, Fraction]) -> set[Point]:
-    """Vertices of the orbit polytope of p on which the functional y is maximal.
-
-    The maximizers place the largest |S_1| coordinates in the top level set
-    S_1 of y, the next largest in S_2, and so on, in every arrangement
-    within each level set.
-    """
+def _max_face_ranks(
+    p: Point, y: Mapping[str, Fraction]
+) -> tuple[list[Fraction], Iterator[tuple[int, ...]]]:
+    """The distinct coordinates of p, decreasing, and each maximizer of y as ranks into them."""
     if set(y) != set(p.ground):
         raise ValueError("functional must be defined on exactly the ground-set labels")
     partition = level_partition(y, p.ground)
@@ -249,20 +281,29 @@ def max_face_vertices(p: Point, y: Mapping[str, Fraction]) -> set[Point]:
         raise ValueError(
             f"brute-force bound exceeded: {tied} labels in tied level sets > {BRUTE_FORCE_BOUND}"
         )
-    values = sorted_values(p)
-    per_block: list[list[tuple[Fraction, ...]]] = []
+    distinct, ranks = _ranks(p)
+    per_block: list[list[tuple[int, ...]]] = []
     start = 0
     for block in partition:
-        per_block.append(list(distinct_permutations(values[start:start + len(block)])))
+        per_block.append(list(distinct_permutations(ranks[start:start + len(block)])))
         start += len(block)
     # position of each ground label in a choice's concatenated block arrangements
     where = {label: i for i, label in enumerate(chain.from_iterable(partition))}
     gather = [where[label] for label in p.ground]
-    out = set()
-    for choice in product(*per_block):
-        flat = tuple(chain.from_iterable(choice))
-        out.add(Point._of(p.ground, tuple(map(flat.__getitem__, gather))))
-    return out
+    return distinct, (
+        tuple(map(tuple(chain.from_iterable(choice)).__getitem__, gather))
+        for choice in product(*per_block)
+    )
+
+
+def max_face_vertices(p: Point, y: Mapping[str, Fraction]) -> set[Point]:
+    """Vertices of the orbit polytope of p on which the functional y is maximal.
+
+    The maximizers place the largest |S_1| coordinates in the top level set
+    S_1 of y, the next largest in S_2, and so on, in every arrangement
+    within each level set; they are walked on the coordinates' ranks.
+    """
+    return set(_points_of_ranks(p.ground, *_max_face_ranks(p, y)))
 
 
 def _max_subset_sums(scaled: list[int]) -> list[int]:

@@ -16,10 +16,11 @@ set partitions are enumerated recursively here, for the tests alone.
 The refinements of a composition, the submodular function z(S) of an
 orbit polytope as a dict over every subset and the exhaustive checks on
 it, the per-vertex scan of every subset sum behind the base polytope
-check, the order-by-order walk of the chamber census, the ribbon basis
-product, relabeling and iterated splits of monoid elements (to state
-naturality and coassociativity), and the slotwise antipode and product
-that state the antipode identity live here too, as only tests use them.
+check, the order-by-order walk of the chamber census, the CLI's vertex
+list sorted by ``Fraction`` values, the ribbon basis product, relabeling
+and iterated splits of monoid elements (to state naturality and
+coassociativity), and the slotwise antipode and product that state the
+antipode identity live here too, as only tests use them.
 The generating-function coefficients of the structure counts have one
 copy, ``orbitopes.selftest.egf_counts``, which the tests import.
 """
@@ -144,6 +145,11 @@ def naive_max_face(p: Point, y) -> set:
         elif value == best:
             winners.add(v)
     return winners
+
+
+def points_sorted(points) -> list[dict]:
+    """The ``vertices`` output list as the CLI once built it: ``Point``s sorted by their values."""
+    return [p.to_json() for p in sorted(points, key=lambda p: p.values)]
 
 
 def order_first_census(p: Point) -> dict[tuple[str, ...], Point]:

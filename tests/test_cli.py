@@ -1,7 +1,10 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -10,11 +13,12 @@ from orbitopes import geometry
 from orbitopes.cli import MAX_DEGREE, run
 from orbitopes.characters import Character, NSymSeries, char_to_series, convolve, series_inverse, series_mul
 from orbitopes.compositions import Composition
+from orbitopes.geometry import GroundSet, Point
 from orbitopes.hopf_algebra import HopfElement, antipode, inject
 from orbitopes.hopf_monoid import COUNT_MAX_N
 from orbitopes.invariants import CHI_MAX_WEIGHT, chi
 from orbitopes.selftest import run_selftest
-from oracles import recurrence_count
+from oracles import points_sorted, recurrence_count
 
 C = Composition
 
@@ -64,6 +68,51 @@ def test_maxface(capsys):
         {"a": "2", "b": "0", "c": "1", "d": "2"},
         {"a": "2", "b": "0", "c": "2", "d": "1"},
     ]
+
+
+def permutation_vertices(p: Point) -> set[Point]:
+    return {Point.from_values(p.ground, values) for values in set(permutations(p.values))}
+
+
+def argmax_vertices(p: Point, y: dict) -> set[Point]:
+    vertices = permutation_vertices(p)
+    value = {v: sum(y[l] * v[l] for l in p.ground) for v in vertices}
+    best = max(value.values())
+    return {v for v in vertices if value[v] == best}
+
+
+def cli_stdout(capsys, *argv) -> str:
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, ""), err
+    return out
+
+
+def test_vertices_and_maxface_print_the_sorted_oracle(capsys):
+    # few distinct values per point, so ties are common; labels out of lexicographic order
+    rng = random.Random(2020)
+    for _ in range(60):
+        n = rng.randint(0, 7)
+        pool = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, n or 1))]
+        labels = rng.sample("zyxwvutsrq", n)
+        p = Point.from_values(GroundSet(labels), [rng.choice(pool) for _ in labels])
+        y = {l: Fraction(rng.randint(-2, 2)) for l in labels}
+        point, functional = json.dumps(p.to_json()), json.dumps({l: str(v) for l, v in y.items()})
+        expected = json.dumps({"vertices": points_sorted(permutation_vertices(p))}) + "\n"
+        assert cli_stdout(capsys, "vertices", "--point", point) == expected, point
+        expected = json.dumps({"vertices": points_sorted(argmax_vertices(p, y))}) + "\n"
+        assert cli_stdout(capsys, "maxface", "--point", point, "--functional", functional) == expected
+
+
+def test_vertices_and_maxface_at_the_bound_print_the_sorted_oracle(capsys):
+    # 8 distinct coordinates: every vertex is on the face of the zero functional
+    values = ["7", "-1/2", "3", "0", "5/3", "-4", "2", "11/7"]
+    labels = "hgfedcba"
+    p = Point.from_values(GroundSet(labels), map(Fraction, values))
+    point = json.dumps(dict(zip(labels, values)))
+    expected = json.dumps({"vertices": points_sorted(permutation_vertices(p))}) + "\n"
+    assert cli_stdout(capsys, "vertices", "--point", point) == expected
+    zero = json.dumps(dict.fromkeys(labels, "0"))
+    assert cli_stdout(capsys, "maxface", "--point", point, "--functional", zero) == expected
 
 
 def test_normeq(capsys):
@@ -389,6 +438,22 @@ def test_malformed_json_is_exit_2(tmp_path, capsys):
     for value, digits in [("-" + "9" * 4301, 4301), ("1/" + "7" * 4400, 4400)]:
         code, out, err = invoke(capsys, "classify", "--point", json.dumps({"a": value}))
         assert (code, out) == (2, "") and f"a part of {digits} digits" in err, digits
+
+
+def test_json_integer_past_the_digit_limit_is_exit_2(tmp_path, capsys):
+    # json.loads refuses it before any field is read: the message names the count
+    nines = "9" * 5000
+    code, out, err = invoke(capsys, "classify", "--point", '{"a": -%s, "b": 1}' % nines)
+    assert (code, out) == (2, "")
+    assert err == "error: point: JSON integer of 5000 digits, more than int() converts\n"
+    path = tmp_path / "huge.json"
+    path.write_text('{"degree": 2, "coeffs": [{"composition": [], "coeff": %s}]}' % nines)
+    code, out, err = invoke(capsys, "series-inv", "--series", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: series {path}: JSON integer of 5000 digits, more than int() converts\n"
+    # within the limit a JSON integer is a rational coordinate as before
+    code, out, _ = invoke(capsys, "classify", "--point", '{"a": %s, "b": 1}' % nines[:4300])
+    assert code == 0 and json.loads(out) == {"composition": [1, 1]}
 
 
 def test_unknown_command_is_exit_2(capsys):

@@ -1,7 +1,8 @@
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import chain, combinations_with_replacement, permutations
 from math import lcm
 
 import pytest
@@ -153,6 +154,65 @@ def test_vertex_first_census_and_rank_walk_match_the_oracles(kind):
         assert orbit_vertices(p) == {
             Point._of(p.ground, a) for a in distinct_permutations(p.values)
         }, p
+
+
+# Fraction(-1) and Fraction(-2) both hash to -2; 2^61 - 1 is the modulus of numeric
+# hashes, and a denominator divisible by it takes Fraction.__hash__'s infinity branch
+HASH_EDGES = (
+    F(-1), F(-2), F(2**61 - 1), F(3 * 2**61 + 5), F(5, 2 * (2**61 - 1)), F(-3, 7), F(-5, 2), F(0),
+)
+
+
+def _hash_edge_cases():
+    rng = random.Random(261)
+    yield pt(*HASH_EDGES[:6]), dict.fromkeys(standard_ground(6), F(0))
+    yield pt(F(-1), F(-2), F(-1), F(-2)), {"1": F(1), "2": F(1), "3": F(0), "4": F(0)}
+    for _ in range(40):
+        pool = rng.sample(HASH_EDGES, rng.randint(1, 4))
+        p = pt(*(rng.choice(pool) for _ in range(rng.randint(0, 6))))
+        yield p, {l: F(rng.randint(-1, 1)) for l in p.ground}
+
+
+def test_vertex_walks_hash_like_their_values():
+    assert hash(F(-1)) == hash(F(-2)) and hash(F(2**61 - 1)) == hash(F(0))
+    assert hash(F(5, 2 * (2**61 - 1))) == hash(float("inf"))
+    for p, y in _hash_edge_cases():
+        vertices = orbit_vertices(p)
+        face = max_face_vertices(p, y)
+        census = chamber_census(p)
+        assert len(vertices) == vertex_count(p) and face <= vertices, p
+        assert set(census.values()) == vertices, p
+        for v in chain(vertices, face, census.values()):
+            twin = Point.from_values(v.ground, v.values)
+            assert hash(v) == hash((v.ground, v.values)) == hash(twin), v
+            assert v == twin, v
+
+
+def test_vertex_walks_hash_each_distinct_value_once(monkeypatch):
+    p = pt(F(1, 2), F(-3), F(1, 2), F(7, 3), F(-3), F(0), F(7, 3), F(5))  # 5 distinct values
+    y = dict(zip(p.ground, map(F, [1, 1, 0, 0, 0, 0, -1, -1])))
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counting_hash(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    vertices = orbit_vertices(p)
+    walk_calls = len(calls)
+    face = max_face_vertices(p, y)
+    face_calls = len(calls) - walk_calls
+    monkeypatch.undo()
+    assert len(vertices) == vertex_count(p) and len(face) == 2 * 12
+    assert walk_calls <= 5 and face_calls <= 5, (walk_calls, face_calls)
+
+
+def test_point_pickles_without_its_cached_hash():
+    # the cached hash depends on the process's string hash seed
+    v = next(iter(orbit_vertices(pt(F(1, 2), -3))))
+    w = pickle.loads(pickle.dumps(v))
+    assert w == v and w._hash is None and hash(w) == hash(v)
 
 
 def test_orbit_vertex_count_matches_multinomial():
