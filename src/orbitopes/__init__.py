@@ -16,9 +16,9 @@ _EXPORTS = {
         "near_concat", "restrict_contract", "splits",
     ),
     "geometry": (
-        "GroundSet", "OrderedSetPartition", "Point", "chamber_census", "check_base_polytope",
-        "composition_of_point", "face_decomposition", "max_face_vertices", "normally_equivalent",
-        "orbit_vertices", "representative_point", "standard_ground",
+        "GroundSet", "Point", "chamber_census", "check_base_polytope", "composition_of_point",
+        "face_decomposition", "max_face_vertices", "normally_equivalent", "orbit_vertices",
+        "representative_point", "standard_ground",
     ),
     "hopf_monoid": (
         "OrbitClassElement", "class_of", "count_structures", "delta", "mu",

@@ -304,14 +304,9 @@ def _character(rows: list[_Row]) -> Character:
     return Character._of(len(rows) - 1, values)
 
 
-def char_to_series(zeta: Character, degree: int | None = None) -> NSymSeries:
+def char_to_series(zeta: Character) -> NSymSeries:
     """Realize a character as the series with c_beta = zeta(beta) / |beta|!."""
-    if degree is None:
-        degree = zeta.degree
-    _check_degree(degree)
-    if degree > zeta.degree:
-        raise ValueError(f"character truncated at {zeta.degree}, cannot expand to {degree}")
-    return _series(_char_rows(zeta, degree))
+    return _series(_char_rows(zeta, zeta.degree))
 
 
 def series_to_char(f: NSymSeries) -> Character:

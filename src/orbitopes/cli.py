@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .jsonio import composition_from_json, composition_to_json, frac_from_str, frac_to_str
 
@@ -46,9 +47,17 @@ def _parse_json(text: str, what: str):
             count = len(digits.lstrip("-"))
             raise SchemaError(f"{what}: JSON integer of {count} digits, more than int() converts") from None
 
+    def unique_keys(pairs: list) -> dict:
+        # json.loads would keep the last of a repeated key
+        data = dict(pairs)
+        if len(data) != len(pairs):
+            repeated = Counter(key for key, _ in pairs).most_common(1)[0][0]
+            raise SchemaError(f"{what}: key {json.dumps(repeated)} is given twice")
+        return data
+
     # RecursionError: nesting too deep
     try:
-        return json.loads(text, parse_int=parse_int)
+        return json.loads(text, parse_int=parse_int, object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{what}: invalid JSON ({exc})") from exc
 

@@ -149,3 +149,12 @@ def multinomial(n: int, gamma: Composition) -> int:
     for part in gamma:
         result //= math.factorial(part)
     return result
+
+
+def stirling_row(m: int) -> list[int]:
+    """S(m, k) for k = 0..m: the set partitions of m labels into k blocks."""
+    row = [1]  # S(0, 0)
+    for _ in range(m):
+        # S(m, k) = k S(m - 1, k) + S(m - 1, k - 1)
+        row = [0] + [k * s + t for k, (s, t) in enumerate(zip(row[1:] + [0], row), start=1)]
+    return row

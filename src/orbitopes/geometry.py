@@ -8,8 +8,8 @@ chamber of points weakly decreasing along that order is the reference
 chamber, and the composition of a point reads off the run lengths of its
 sorted coordinate multiset.
 
-``GroundSet`` and ``OrderedSetPartition`` are validated ``tuple`` subclasses
-(of labels and of label frozensets): they compare, order and hash as tuples.
+``GroundSet`` is a validated ``tuple`` subclass of labels: it compares,
+orders and hashes as a tuple.
 
 Brute-force operations (vertex enumeration, base polytope verification,
 the chamber census, the labels a maximal face permutes, and the invariant
@@ -19,8 +19,11 @@ multiplies the coordinates by the lcm of their denominators once and
 maximizes every subset sum over all vertices on integers, by dynamic
 programming over the sub-multisets of coordinates still to be placed (at
 most 3^n table entries, not one scan per vertex).  The vertex walks
-(``orbit_vertices``, ``max_face_vertices``) and the chamber census run on
-the integer ranks of the coordinates, and the census is built vertex
+(``orbit_vertices``, ``max_face_vertices``) are one walk on the integer
+ranks of the coordinates, ``_block_ranks``: the face of O(p) maximizing a
+functional y is the product of the orbits of the level sets of y, filled
+with the coordinates in decreasing order, and the whole orbit is the face
+of one level set, the ground set.  The chamber census is built vertex
 first: every vertex's orders come from one list of within-tie
 permutations shared by all vertices.  A ``Point`` caches its hash; the
 vertex walks compute it from one hash per distinct coordinate value, so
@@ -176,34 +179,11 @@ class Point:
         return {l: frac_to_str(v) for l, v in zip(self.ground, self.values)}
 
     @classmethod
-    def from_json(cls, data, ground: GroundSet | None = None) -> "Point":
+    def from_json(cls, data) -> "Point":
         if not isinstance(data, dict):
             raise ValueError(f"a point must be a JSON object, got {data!r}")
         coords = {str(k): frac_from_str(v) for k, v in data.items()}
-        if ground is None:
-            ground = GroundSet(data)
-        return cls(ground, coords)
-
-
-class OrderedSetPartition(tuple):
-    """Tuple of disjoint nonempty label sets (frozensets) covering a ground set."""
-
-    __slots__ = ()
-
-    def __new__(cls, blocks: Iterable[Iterable[str]]):
-        self = tuple.__new__(cls, map(frozenset, blocks))
-        if any(not b for b in self):
-            raise ValueError("blocks must be nonempty")
-        if len(self.support()) != sum(map(len, self)):
-            raise ValueError("blocks must be pairwise disjoint")
-        return self
-
-    @property
-    def blocks(self) -> "OrderedSetPartition":
-        return self
-
-    def support(self) -> frozenset:
-        return frozenset().union(*self)
+        return cls(GroundSet(data), coords)
 
 
 def sorted_values(p: Point) -> tuple[Fraction, ...]:
@@ -244,56 +224,68 @@ def _points_of_ranks(
         yield of(ground, tuple(map(value_of, ranks)), hash((ground, tuple(map(hash_of, ranks)))))
 
 
-def _orbit_ranks(p: Point) -> tuple[list[Fraction], Iterator[tuple[int, ...]]]:
+def _extend(heads: list[tuple[int, ...]], tails: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    # the tails stream: the last block's arrangements are never all held at once
+    return (head + tail for tail in tails for head in heads)
+
+
+def _block_ranks(p: Point, blocks: Sequence[Sequence[str]]) -> tuple[list[Fraction], Iterable[tuple[int, ...]]]:
+    """The distinct coordinates of p, decreasing, and as ranks each vertex that fills the blocks in turn.
+
+    The blocks partition the ground set.  Each partial rank tuple is extended by every distinct
+    arrangement of the next block's slice of the ranks, the largest coordinates going to the first
+    block; the tuples are regathered into ground order only when the blocks list it otherwise.
+    """
+    distinct, ranks = _ranks(p)
+    walk: Iterable[tuple[int, ...]] = [()]
+    start = 0
+    for block in blocks:
+        tails = distinct_permutations(ranks[start:start + len(block)])
+        # until a rank is placed the walk is the one empty tuple, and the tails are the walk
+        walk = _extend(list(walk), tails) if start else tails
+        start += len(block)
+    order = [label for block in blocks for label in block]
+    if order != list(p.ground):
+        where = {label: i for i, label in enumerate(order)}
+        # the orders differ only for two or more labels, where itemgetter returns a tuple
+        walk = map(itemgetter(*(where[label] for label in p.ground)), walk)
+    return distinct, walk
+
+
+def _orbit_ranks(p: Point) -> tuple[list[Fraction], Iterable[tuple[int, ...]]]:
     """The distinct coordinates of p, decreasing, and each vertex as ranks into them in ground order."""
     _check_bound(len(p.ground))
-    distinct, ranks = _ranks(p)
-    return distinct, distinct_permutations(ranks)
+    return _block_ranks(p, (p.ground,))
 
 
 def orbit_vertices(p: Point) -> set[Point]:
     """All distinct coordinate rearrangements of p; these are the orbit polytope's vertices.
 
-    The rearrangements are walked on the integer ranks of the coordinates
-    and each is mapped back to its ``Fraction`` values.
+    The orbit is the walk of one block, the whole ground set, on the
+    integer ranks of the coordinates; each vertex is mapped back to its
+    ``Fraction`` values.
     """
     return set(_points_of_ranks(p.ground, *_orbit_ranks(p)))
 
 
-def level_partition(y: Mapping[str, Fraction], ground: GroundSet) -> OrderedSetPartition:
-    """Level sets of the functional y, ordered by decreasing value."""
-    # grouped after a sort, not keyed by value: no Fraction is hashed
-    value = {label: Fraction(y[label]) for label in ground}
-    ordered = sorted(ground, key=value.__getitem__, reverse=True)
-    return OrderedSetPartition(run for _, run in groupby(ordered, key=value.__getitem__))
-
-
 def _max_face_ranks(
     p: Point, y: Mapping[str, Fraction]
-) -> tuple[list[Fraction], Iterator[tuple[int, ...]]]:
+) -> tuple[list[Fraction], Iterable[tuple[int, ...]]]:
     """The distinct coordinates of p, decreasing, and each maximizer of y as ranks into them."""
     if set(y) != set(p.ground):
         raise ValueError("functional must be defined on exactly the ground-set labels")
-    partition = level_partition(y, p.ground)
+    # the level sets of y by decreasing value, each in ground order: the sort is stable,
+    # and it groups equal values without hashing a Fraction
+    value = {label: Fraction(y[label]) for label in p.ground}
+    ordered = sorted(p.ground, key=value.__getitem__, reverse=True)
+    levels = [tuple(run) for _, run in groupby(ordered, key=value.__getitem__)]
     # only labels sharing a level set with others are permuted, as in orbit_vertices
-    tied = sum(len(block) for block in partition if len(block) > 1)
+    tied = sum(len(level) for level in levels if len(level) > 1)
     if tied > BRUTE_FORCE_BOUND:
         raise ValueError(
             f"brute-force bound exceeded: {tied} labels in tied level sets > {BRUTE_FORCE_BOUND}"
         )
-    distinct, ranks = _ranks(p)
-    per_block: list[list[tuple[int, ...]]] = []
-    start = 0
-    for block in partition:
-        per_block.append(list(distinct_permutations(ranks[start:start + len(block)])))
-        start += len(block)
-    # position of each ground label in a choice's concatenated block arrangements
-    where = {label: i for i, label in enumerate(chain.from_iterable(partition))}
-    gather = [where[label] for label in p.ground]
-    return distinct, (
-        tuple(map(tuple(chain.from_iterable(choice)).__getitem__, gather))
-        for choice in product(*per_block)
-    )
+    return _block_ranks(p, levels)
 
 
 def max_face_vertices(p: Point, y: Mapping[str, Fraction]) -> set[Point]:

@@ -215,10 +215,8 @@ def _coproduct_basis(gm: GeneratorMultiset) -> dict[tuple, int]:
 
 
 def coproduct(x: HopfElement) -> TensorElement:
-    """Algebra-map coproduct: product over each multiset member's cut expansion."""
-    return TensorElement._of(combine(
-        (key, v * w) for gm, v in x.coeffs.items() for key, w in _coproduct_basis(gm).items()
-    ), 2)
+    """Algebra-map coproduct: ``coproduct_in_slot`` on x read as a tensor of arity 1."""
+    return coproduct_in_slot(TensorElement._of({(gm,): v for gm, v in x.coeffs.items()}, 1), 0)
 
 
 def coproduct_in_slot(t: TensorElement, slot: int) -> TensorElement:

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .compositions import ONE, Composition, _integer, restrict_contract
-from .jsonio import composition_from_json, composition_to_json
+from .compositions import ONE, Composition, _integer, restrict_contract, stirling_row
 
 Block = tuple[frozenset, Composition]
 
@@ -66,33 +65,6 @@ class OrbitClassElement:
         parts = sorted(self.blocks, key=lambda b: min(b[0]))
         inner = " * ".join(f"O{tuple(c)}@{{{','.join(sorted(b))}}}" for b, c in parts)
         return inner if inner else "O()@{}"
-
-    def to_json(self) -> dict:
-        ordered = sorted(self.blocks, key=lambda b: min(b[0]))
-        return {
-            "ground": sorted(self.ground),
-            "blocks": [
-                {"labels": sorted(labels), "composition": composition_to_json(comp)}
-                for labels, comp in ordered
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "OrbitClassElement":
-        if not isinstance(data, dict) or "ground" not in data or not isinstance(data.get("blocks"), list):
-            raise ValueError("an element must be a JSON object with 'ground' and a 'blocks' array")
-        blocks = []
-        for b in data["blocks"]:
-            if not (isinstance(b, dict) and "labels" in b and "composition" in b):
-                raise ValueError(f"malformed block {b!r}: expected {{labels, composition}}")
-            blocks.append((_labels_from_json(b["labels"]), composition_from_json(b["composition"])))
-        return cls(_labels_from_json(data["ground"]), blocks)
-
-
-def _labels_from_json(data) -> frozenset:
-    if not isinstance(data, list) or any(not isinstance(l, str) for l in data) or len(set(data)) != len(data):
-        raise ValueError(f"labels must be a JSON array of distinct strings, got {data!r}")
-    return frozenset(data)
 
 
 UNIT = OrbitClassElement((), ())
@@ -150,17 +122,15 @@ def count_structures(n: int) -> int:
 
     Closed form: n! [t^n] exp((e^t - 1)^2 / 2 + t) = sum over j of (2j - 1)!! S(n + 1, 2j + 1),
     because e^t (e^t - 1)^m / m! generates the Stirling numbers S(n + 1, m + 1) and
-    exp(u^2 / 2) = sum over j of (2j - 1)!! u^(2j) / (2j)!.
+    exp(u^2 / 2) = sum over j of (2j - 1)!! u^(2j) / (2j)!.  The numbers S(n + 1, k) are
+    read from one ``compositions.stirling_row``.
     """
     n = _integer(n, "n")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > COUNT_MAX_N:
         raise ValueError(f"count bound exceeded: n = {n} > {COUNT_MAX_N}")
-    row = [1]  # S(m, k) for k = 0..m, from m = 0 up to m = n + 1
-    for _ in range(n + 1):
-        # S(m, k) = k S(m - 1, k) + S(m - 1, k - 1)
-        row = [0] + [k * s + t for k, (s, t) in enumerate(zip(row[1:] + [0], row), start=1)]
+    row = stirling_row(n + 1)
     total, double_factorial = 0, 1
     for j in range(len(row) // 2):
         total += double_factorial * row[2 * j + 1]

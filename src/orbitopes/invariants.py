@@ -23,7 +23,7 @@ from math import factorial, lcm
 from operator import index
 from typing import Mapping
 
-from .compositions import Composition, multinomial
+from .compositions import Composition, multinomial, stirling_row
 from .hopf_monoid import OrbitClassElement, class_of, delta
 from .linear import Linear
 
@@ -90,27 +90,19 @@ def to_monomial(p: BinomialPolynomial) -> list[Fraction]:
     return [Fraction(v, denominator) for v in numerators]
 
 
-def _surjection_row(a: int) -> list[int]:
-    """j! S(a, j) for j = 0..a: the surjections of a labels onto j ordered pieces."""
-    row = [1]
-    for _ in range(a):
-        # s(a, j) = j (s(a - 1, j) + s(a - 1, j - 1))
-        row = [0] + [j * (s + t) for j, (s, t) in enumerate(zip(row[1:] + [0], row), start=1)]
-    return row
-
-
 def chi(alpha: Composition) -> BinomialPolynomial:
     """Sum of multinomial(gamma) * binom(t, parts(gamma)) over the refinements gamma.
 
     Closed form: multinomial(alpha) times the convolution of the parts'
-    surjection rows, indexed by the total number of pieces.
+    surjection rows j! S(a, j), read off ``compositions.stirling_row`` and
+    indexed by the total number of pieces.
     """
     n = alpha.weight
     if n > CHI_MAX_WEIGHT:
         raise ValueError(f"chi bound exceeded: weight {n} > {CHI_MAX_WEIGHT}")
     coeffs = [1]
     for part in alpha:
-        row = _surjection_row(part)
+        row = [factorial(j) * s for j, s in enumerate(stirling_row(part))]
         conv = [0] * (len(coeffs) + part)
         for i, c in enumerate(coeffs):
             if c:

@@ -111,8 +111,10 @@ def test_vertices_and_maxface_at_the_bound_print_the_sorted_oracle(capsys):
     point = json.dumps(dict(zip(labels, values)))
     expected = json.dumps({"vertices": points_sorted(permutation_vertices(p))}) + "\n"
     assert cli_stdout(capsys, "vertices", "--point", point) == expected
-    zero = json.dumps(dict.fromkeys(labels, "0"))
-    assert cli_stdout(capsys, "maxface", "--point", point, "--functional", zero) == expected
+    # a constant functional has one level set: its face is the whole orbit, byte for byte
+    for constant in ("0", "-5/2"):
+        functional = json.dumps(dict.fromkeys(labels, constant))
+        assert cli_stdout(capsys, "maxface", "--point", point, "--functional", functional) == expected
 
 
 def test_normeq(capsys):
@@ -397,6 +399,16 @@ def test_malformed_json_is_exit_2(tmp_path, capsys):
 
     code, _, err = invoke(capsys, "antipode", "--element", '[{"coeff": "1", "multiset": 5}]')
     assert code == 2 and "malformed element term" in err
+
+    # a repeated key is refused at any depth, not read as its last value
+    code, out, err = invoke(capsys, "classify", "--point", '{"a":"1","b":"2","a":"3"}')
+    assert (code, out, err) == (2, "", 'error: point: key "a" is given twice\n')
+    code, out, err = invoke(capsys, "maxface", "--point", P1, "--functional", '{"a":"1","b":"0","b":"1"}')
+    assert (code, out, err) == (2, "", 'error: functional: key "b" is given twice\n')
+    char = tmp_path / "char_twice.json"
+    char.write_text('{"degree": 2, "values": [{"composition": [1], "value": "1", "value": "2"}]}')
+    code, out, err = invoke(capsys, "convolve", "--char", str(char), "--char", str(char))
+    assert (code, out, err) == (2, "", f'error: char {char}: key "value" is given twice\n')
 
     def write(name, payload):
         path = tmp_path / name

@@ -12,7 +12,6 @@ from orbitopes import geometry
 from orbitopes.compositions import Composition, compositions_of, multinomial
 from orbitopes.geometry import (
     GroundSet,
-    OrderedSetPartition,
     Point,
     _max_subset_sums,
     chamber_census,
@@ -73,14 +72,6 @@ def test_point_validation():
     p = pt(1, 2)
     assert p["2"] == 2
     assert Point.from_json(p.to_json()) == p
-
-
-def test_ordered_set_partition_validation():
-    OrderedSetPartition((frozenset("ab"), frozenset("c")))
-    with pytest.raises(ValueError, match="nonempty"):
-        OrderedSetPartition((frozenset(),))
-    with pytest.raises(ValueError, match="disjoint"):
-        OrderedSetPartition((frozenset("ab"), frozenset("b")))
 
 
 def test_composition_of_point_examples():
@@ -243,10 +234,18 @@ def test_max_face_indicator_singleton():
 
 
 def test_max_face_matches_naive_argmax():
+    # interleaved level sets, so the walk's block order is not the ground order
+    cases = [
+        (pt(4, 3, 2, 1, 0, 0), [1, 0, 1, 0, 1, 0]),
+        (pt(3, 3, 2, 1, 1, 0, F(5, 2)), [0, 2, 1, 0, 2, 1, 0]),
+        (pt(1, 2, 3, 4), [-1, 1, -1, 1]),
+    ]
     rng = random.Random(7)
     for _ in range(200):
         p = random_point(rng, rng.randint(1, 6))
-        y = {l: F(rng.randint(-3, 3)) for l in p.ground.labels}
+        cases.append((p, [rng.randint(-3, 3) for _ in p.ground]))
+    for p, levels in cases:
+        y = dict(zip(p.ground, map(F, levels)))
         assert max_face_vertices(p, y) == naive_max_face(p, y)
 
 

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from orbitopes.compositions import Composition, compositions_of
+from orbitopes.compositions import Composition, compositions_of, stirling_row
 from orbitopes.geometry import standard_ground, subsets
 from orbitopes.hopf_monoid import (
     COUNT_MAX_N,
@@ -15,7 +16,9 @@ from orbitopes.hopf_monoid import (
     mu,
 )
 from orbitopes.selftest import egf_counts
-from oracles import count_by_enumeration, delta_iterated, ordered_set_partitions, recurrence_count, relabel
+from oracles import (
+    count_by_enumeration, delta_iterated, ordered_set_partitions, recurrence_count, relabel, set_partitions,
+)
 
 C = Composition
 
@@ -215,6 +218,9 @@ def test_count_structures_refuses_a_non_integer(value):
 def test_count_structures_matches_direct_partition_sum():
     for n in range(8):
         assert count_structures(n) == count_by_enumeration(n)
+        # the Stirling row count_structures and chi read: set partitions by block count
+        blocks = Counter(len(partition) for partition in set_partitions(range(n)))
+        assert stirling_row(n) == [blocks[k] for k in range(n + 1)], n
 
 
 def test_count_structures_matches_stirling_closed_form():
@@ -230,29 +236,3 @@ def test_count_structures_bound():
     assert count_structures(COUNT_MAX_N) > 0
     with pytest.raises(ValueError, match=f"count bound exceeded: n = {COUNT_MAX_N + 1} > {COUNT_MAX_N}"):
         count_structures(COUNT_MAX_N + 1)
-
-
-def test_element_json_roundtrip():
-    x = mu(class_of(C((2, 1)), "abc"), class_of(C((1, 1)), "de"))
-    data = x.to_json()
-    assert data["ground"] == ["a", "b", "c", "d", "e"]
-    assert OrbitClassElement.from_json(data) == x
-    assert OrbitClassElement.from_json(data).to_json() == data
-
-
-@pytest.mark.parametrize("data", [
-    {"ground": "ab", "blocks": [{"labels": ["a", "b"], "composition": [2]}]},
-    {"ground": ["a", "b"], "blocks": [{"labels": "ab", "composition": [1, 1]}]},
-    {"ground": [1, 2], "blocks": [{"labels": [1, 2], "composition": [1, 1]}]},
-    {"ground": ["a", "a"], "blocks": [{"labels": ["a"], "composition": [1]}]},
-    {"ground": ["a"], "blocks": [{"labels": ["a", "a"], "composition": [1]}]},
-    {"ground": ["a"], "blocks": 5},
-    {"ground": ["a"], "blocks": [5]},
-    {"ground": ["a"], "blocks": [{"labels": ["a"]}]},
-    {"ground": ["a"], "blocks": [{"labels": ["a"], "composition": [1.0]}]},
-    {"ground": ["a"]},
-    ["a"],
-])
-def test_element_json_schema_is_enforced(data):
-    with pytest.raises(ValueError):
-        OrbitClassElement.from_json(data)

@@ -21,9 +21,9 @@ README = SRC.parent / "README.md"
 EXPORTED = {
     "Composition", "compositions_of", "concat", "iterated_restrict", "multinomial", "near_concat",
     "restrict_contract", "splits",
-    "GroundSet", "OrderedSetPartition", "Point", "chamber_census", "check_base_polytope",
-    "composition_of_point", "face_decomposition", "max_face_vertices", "normally_equivalent",
-    "orbit_vertices", "representative_point", "standard_ground",
+    "GroundSet", "Point", "chamber_census", "check_base_polytope", "composition_of_point",
+    "face_decomposition", "max_face_vertices", "normally_equivalent", "orbit_vertices",
+    "representative_point", "standard_ground",
     "OrbitClassElement", "class_of", "count_structures", "delta", "mu",
     "GeneratorMultiset", "HopfElement", "TensorElement", "antipode", "coproduct", "counit", "inject",
     "product",

@@ -1,9 +1,9 @@
-"""The contract of the four value types: immutable, validated, hashable by value."""
+"""The contract of the three value types: immutable, validated, hashable by value."""
 
 import pytest
 
 from orbitopes.compositions import EMPTY, Composition
-from orbitopes.geometry import GroundSet, OrderedSetPartition
+from orbitopes.geometry import GroundSet
 from orbitopes.hopf_algebra import EMPTY_MULTISET, GeneratorMultiset
 
 C = Composition
@@ -13,7 +13,6 @@ SAMPLES = [
     (C((1, 2)), "parts"),
     (GM([C((2, 1)), C((1,))]), "members"),
     (GroundSet(("b", "a", "c")), "labels"),
-    (OrderedSetPartition((frozenset("ab"), frozenset("c"))), "blocks"),
 ]
 
 
@@ -32,17 +31,12 @@ def test_validation_errors_are_unchanged():
         GM([C((1,)), C((2,))])
     with pytest.raises(ValueError, match=r"^ground-set labels must be distinct: \('a', 'a'\)$"):
         GroundSet(("a", "a"))
-    with pytest.raises(ValueError, match="^blocks must be nonempty$"):
-        OrderedSetPartition((frozenset("a"), frozenset()))
-    with pytest.raises(ValueError, match="^blocks must be pairwise disjoint$"):
-        OrderedSetPartition((frozenset("ab"), frozenset("b")))
 
 
 def test_items_are_coerced():
     parts = C([True, 2])  # integer-likes (operator.index) become plain ints
     assert parts == (1, 2) and all(type(p) is int for p in parts)
     assert tuple(GroundSet([1, 2])) == ("1", "2")
-    assert tuple(OrderedSetPartition([{"a"}, ["b", "c"]])) == (frozenset("a"), frozenset("bc"))
 
 
 def test_equal_values_hash_equal():
@@ -50,7 +44,6 @@ def test_equal_values_hash_equal():
         (C((1, 2)), C([1, 2])),
         (GM([C((2, 1)), C((1,))]), GM([C((1,)), C((2, 1))])),
         (GroundSet(("b", "a")), GroundSet(["b", "a"])),
-        (OrderedSetPartition([{"a", "b"}, {"c"}]), OrderedSetPartition((frozenset("ba"), frozenset("c")))),
     ]
     for x, y in pairs:
         assert x == y and hash(x) == hash(y)
@@ -70,9 +63,6 @@ def test_named_fields_yield_the_items():
     assert tuple(C((1, 2)).parts) == (1, 2)
     assert list(GM([C((2, 1)), C((1,))]).members) == [C((1,)), C((2, 1))]
     assert tuple(GroundSet(("b", "a", "c")).labels) == ("b", "a", "c")
-    assert tuple(OrderedSetPartition((frozenset("ab"), frozenset("c"))).blocks) == (
-        frozenset("ab"), frozenset("c"))
-    assert OrderedSetPartition((frozenset("ab"), frozenset("c"))).support() == frozenset("abc")
     assert tuple(GroundSet(("b", "a", "c")).restricted({"c", "b"})) == ("b", "c")
 
 
@@ -87,7 +77,7 @@ def test_reprs_are_unchanged():
 def test_value_types_are_slotted_tuples():
     inherited = {"__init__", "__setattr__", "__len__", "__iter__", "__getitem__", "__bool__",
                  "__eq__", "__lt__", "__hash__", "__contains__"}
-    for cls in (Composition, GeneratorMultiset, GroundSet, OrderedSetPartition):
+    for cls in (Composition, GeneratorMultiset, GroundSet):
         assert issubclass(cls, tuple) and cls.__slots__ == ()
         assert not inherited & vars(cls).keys(), cls
     # deliberate: equality and hashing are the tuple's
