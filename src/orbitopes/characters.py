@@ -31,7 +31,7 @@ from typing import Mapping
 
 from .compositions import EMPTY, ONE, Composition, _piece, is_generator
 from .jsonio import composition_from_json, composition_to_json, frac_from_str, frac_to_str
-from .linear import Linear
+from .linear import Linear, numerators
 
 DEFAULT_DEGREE = 6
 
@@ -54,9 +54,9 @@ class Character:
         values = {Composition(k): Fraction(v) for k, v in dict(values).items()}
         for alpha in values:
             if not is_generator(alpha):
-                raise ValueError(f"{alpha} is not a generator; one-part values are derived")
+                raise ValueError(f"{composition_to_json(alpha)} is not a generator; one-part values are derived")
             if alpha.weight > degree:
-                raise ValueError(f"generator {alpha} exceeds truncation degree {degree}")
+                raise ValueError(f"generator {composition_to_json(alpha)} exceeds truncation degree {degree}")
         self.degree = degree
         self.values = {k: v for k, v in values.items() if v}
 
@@ -81,7 +81,7 @@ class Character:
     def on_composition(self, alpha: Composition) -> Fraction:
         """Value on the class of a composition (weight up to the truncation degree)."""
         if alpha.weight > self.degree:
-            raise ValueError(f"|{alpha}| exceeds truncation degree {self.degree}")
+            raise ValueError(f"|{composition_to_json(alpha)}| exceeds truncation degree {self.degree}")
         if not alpha:
             return Fraction(1)
         if len(alpha) == 1:
@@ -139,7 +139,7 @@ class NSymSeries(Linear):
         coeffs = {Composition(k): Fraction(v) for k, v in dict(coeffs).items()}
         for alpha in coeffs:
             if alpha.weight > degree:
-                raise ValueError(f"coefficient on {alpha} exceeds truncation degree {degree}")
+                raise ValueError(f"coefficient on {composition_to_json(alpha)} exceeds truncation degree {degree}")
         self.degree = degree
         self.coeffs = {k: v for k, v in coeffs.items() if v}
 
@@ -178,8 +178,10 @@ class NSymSeries(Linear):
         for item in data["coeffs"]:
             if not isinstance(item, dict) or "composition" not in item or "coeff" not in item:
                 raise ValueError(f"malformed series coefficient {item!r}")
-            key = composition_from_json(item["composition"])
-            coeffs[key] = coeffs.get(key, Fraction(0)) + frac_from_str(item["coeff"])
+            alpha = composition_from_json(item["composition"])
+            if alpha in coeffs:
+                raise ValueError(f"composition {composition_to_json(alpha)} is given twice")
+            coeffs[alpha] = frac_from_str(item["coeff"])
         return cls(data["degree"], coeffs)
 
 
@@ -188,8 +190,8 @@ _Row = tuple[int, dict[Composition, int]]  # (D_n, numerators): coefficients num
 
 def _row(values: Mapping[Composition, Fraction], scale: int = 1) -> _Row:
     """Fractions over the lcm of their denominators, that denominator times ``scale``."""
-    den = lcm(*(v.denominator for v in values.values()))
-    return den * scale, {alpha: v.numerator * (den // v.denominator) for alpha, v in values.items()}
+    den, nums = numerators(values)
+    return den * scale, nums
 
 
 def _rows(f: NSymSeries) -> list[_Row]:

@@ -196,7 +196,7 @@ def cmd_convolve(args) -> dict:
     from .characters import Character, char_to_series, convolve
 
     zeta, psi = (
-        _schema("char", Character.from_json, _load_json_file(path, "char"), degree=args.degree)
+        _schema(f"char {path}", Character.from_json, _load_json_file(path, "char"), degree=args.degree)
         for path in args.char
     )
     _check_degree_bound(min(zeta.degree, psi.degree))

@@ -14,20 +14,21 @@ antipode of a generator is solved from that generator's coproduct, by
 m(S (x) id)Delta = counit, and extends multiplicatively, since the algebra
 is commutative.  Both maps are cached only on basis multisets, in bounded
 caches of plain dicts with integer coefficients: the structure constants
-are binomial coefficients and their signed sums.  The public maps multiply
-each cached integer by the caller's ``Fraction`` once per output term.
+are binomial coefficients and their signed sums.  The public maps and
+products read their inputs as integer numerators over one denominator,
+sum integers, and build each output coefficient once as a ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
 from typing import Iterable, Mapping
 
 from .compositions import ONE, Composition, _integer, is_generator, splits
 from .jsonio import composition_from_json, composition_to_json, frac_from_str, frac_to_str
-from .linear import Linear, combine
+from .linear import Linear, combine, numerators
 
 
 class GeneratorMultiset(tuple):
@@ -44,7 +45,7 @@ class GeneratorMultiset(tuple):
         self = tuple.__new__(cls, sorted(map(Composition, members)))
         for alpha in self:
             if not is_generator(alpha):
-                raise ValueError(f"{alpha} is not a generator (one part, weight >= 2)")
+                raise ValueError(f"{composition_to_json(alpha)} is not a generator (one part, weight >= 2)")
         return self
 
     @property
@@ -75,17 +76,41 @@ def _multiset(members: Iterable[Composition]) -> GeneratorMultiset:
 
 
 def _times(x: dict, y: dict) -> dict:
-    """Product of two coefficient dicts on multisets: bilinear extension of union."""
+    """Product of two integer coefficient dicts on multisets: bilinear extension of union."""
     return combine((k1.union(k2), v1 * v2) for k1, v1 in x.items() for k2, v2 in y.items())
 
 
 def _tensor_times(x: dict, y: dict) -> dict:
-    """Product of two coefficient dicts on tuples of multisets: union slot by slot."""
+    """Product of two integer coefficient dicts on tuples of multisets: union slot by slot."""
     return combine(
         (tuple(a.union(b) for a, b in zip(k1, k2)), v1 * v2)
         for k1, v1 in x.items()
         for k2, v2 in y.items()
     )
+
+
+def _over(den: int, nums: dict) -> dict:
+    """Integer numerators over ``den`` as Fractions, one per key."""
+    return {key: Fraction(num, den) for key, num in nums.items()}
+
+
+def _bilinear(times, x: dict, y: dict) -> dict:
+    """An integer product ``times`` of two Fraction dicts, over the product of their denominators."""
+    dx, nx = numerators(x)
+    dy, ny = numerators(y)
+    return _over(dx * dy, times(nx, ny))
+
+
+def _scaled(coeffs: dict, image) -> dict:
+    """Sum of v * image(key) over the terms of ``coeffs``, where ``image`` gives int dicts."""
+    den, nums = numerators(coeffs)
+    if len(nums) == 1:
+        # one image: its keys are distinct and its values nonzero, so nothing combines
+        [(key, num)] = nums.items()
+        return {out: Fraction(num * w, den) for out, w in image(key).items()}
+    return _over(den, combine(
+        (out, num * w) for key, num in nums.items() for out, w in image(key).items()
+    ))
 
 
 class HopfElement(Linear):
@@ -127,13 +152,15 @@ class HopfElement(Linear):
     def from_json(cls, data) -> "HopfElement":
         if not isinstance(data, list):
             raise ValueError("an element must be a JSON array of {coeff, multiset} terms")
-        terms = []
+        coeffs = {}
         for term in data:
             if not (isinstance(term, dict) and "coeff" in term and isinstance(term.get("multiset"), list)):
                 raise ValueError(f"malformed element term {term!r}")
             gm = GeneratorMultiset(composition_from_json(a) for a in term["multiset"])
-            terms.append((gm, frac_from_str(term["coeff"])))
-        return cls._of(combine(terms))
+            if gm in coeffs:
+                raise ValueError(f"multiset {[composition_to_json(a) for a in gm]} is given twice")
+            coeffs[gm] = frac_from_str(term["coeff"])
+        return cls._of({gm: v for gm, v in coeffs.items() if v})
 
 
 class TensorElement(Linear):
@@ -158,7 +185,7 @@ class TensorElement(Linear):
         """Componentwise product: multisets union slotwise, coefficients multiply."""
         if self.arity != other.arity:
             raise ValueError(self._mismatch)
-        return TensorElement._of(_tensor_times(self.coeffs, other.coeffs), self.arity)
+        return TensorElement._of(_bilinear(_tensor_times, self.coeffs, other.coeffs), self.arity)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -194,7 +221,7 @@ def inject(alpha: Composition) -> HopfElement:
 
 def product(x: HopfElement, y: HopfElement) -> HopfElement:
     """Bilinear extension of multiset union."""
-    return HopfElement._of(_times(x.coeffs, y.coeffs))
+    return HopfElement._of(_bilinear(_times, x.coeffs, y.coeffs))
 
 
 def _coproduct_generator(alpha: Composition) -> dict[tuple, int]:
@@ -205,18 +232,17 @@ def _coproduct_generator(alpha: Composition) -> dict[tuple, int]:
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _coproduct_basis(gm: GeneratorMultiset) -> dict[tuple, int]:
-    # the k copies of (1) are the class of (k): one cut sum with k + 1 terms
+    # (1) sorts first; its k copies are the class of (k): one cut sum with k + 1 terms
     ones = gm.count(ONE)
-    out = _coproduct_generator(Composition((ones,))) if ones else {(EMPTY_MULTISET,) * 2: 1}
-    for alpha in gm:
-        if alpha != ONE:
-            out = _tensor_times(out, _coproduct_generator(alpha))
-    return out
+    factors = ((Composition((ones,)),) if ones else ()) + gm[ones:]
+    if not factors:
+        return {(EMPTY_MULTISET,) * 2: 1}
+    return reduce(_tensor_times, map(_coproduct_generator, factors))
 
 
 def coproduct(x: HopfElement) -> TensorElement:
-    """Algebra-map coproduct: ``coproduct_in_slot`` on x read as a tensor of arity 1."""
-    return coproduct_in_slot(TensorElement._of({(gm,): v for gm, v in x.coeffs.items()}, 1), 0)
+    """Algebra-map coproduct, from the cached coproducts of x's basis multisets."""
+    return TensorElement._of(_scaled(x.coeffs, _coproduct_basis), 2)
 
 
 def coproduct_in_slot(t: TensorElement, slot: int) -> TensorElement:
@@ -224,11 +250,9 @@ def coproduct_in_slot(t: TensorElement, slot: int) -> TensorElement:
     slot = _integer(slot, "slot")
     if not 0 <= slot < t.arity:
         raise ValueError(f"slot {slot} out of range for arity {t.arity}")
-    return TensorElement._of(combine(
-        (key[:slot] + inner + key[slot + 1:], v * w)
-        for key, v in t.coeffs.items()
-        for inner, w in _coproduct_basis(key[slot]).items()
-    ), t.arity + 1)
+    return TensorElement._of(_scaled(t.coeffs, lambda key: {
+        key[:slot] + inner + key[slot + 1:]: w for inner, w in _coproduct_basis(key[slot]).items()
+    }), t.arity + 1)
 
 
 def counit(x: HopfElement) -> Fraction:
@@ -238,12 +262,11 @@ def counit(x: HopfElement) -> Fraction:
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _antipode_basis(gm: GeneratorMultiset) -> dict[GeneratorMultiset, int]:
-    if len(gm) != 1:
+    if not gm:
+        return {EMPTY_MULTISET: 1}
+    if len(gm) > 1:
         # the algebra is commutative, so S is an algebra map
-        out = {EMPTY_MULTISET: 1}
-        for alpha in gm:
-            out = _times(out, _antipode_basis(_class(alpha)))
-        return out
+        return reduce(_times, (_antipode_basis(_class(alpha)) for alpha in gm))
     # m(S (x) id)Delta(alpha) = 0: every term but alpha (x) empty has lower left degree
     return combine(
         (left.union(right), -c * v)
@@ -253,6 +276,4 @@ def _antipode_basis(gm: GeneratorMultiset) -> dict[GeneratorMultiset, int]:
 
 
 def antipode(x: HopfElement) -> HopfElement:
-    return HopfElement._of(combine(
-        (key, v * w) for gm, v in x.coeffs.items() for key, w in _antipode_basis(gm).items()
-    ))
+    return HopfElement._of(_scaled(x.coeffs, _antipode_basis))

@@ -1,7 +1,9 @@
 """Finitely supported rational linear combinations: the one sparse-vector core.
 
 An element is a dict ``coeffs`` from basis keys to nonzero ``Fraction``s.
-The Hopf algebra of compositions, its tensor powers, the ribbon series
+Kernels that sum many terms read such a dict once as integer numerators
+over one denominator (``numerators``) and build each output ``Fraction``
+once.  The Hopf algebra of compositions, its tensor powers, the ribbon series
 and the binomial-basis invariant all take their sum, difference, scalar
 multiple, equality and trusted constructor from ``Linear``; each keeps its
 own validating constructor, product, JSON and ``repr``.
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 
 def combine(terms) -> dict:
@@ -23,6 +26,12 @@ def combine(terms) -> dict:
     for key in [k for k, v in out.items() if not v]:
         del out[key]
     return out
+
+
+def numerators(coeffs: dict) -> tuple[int, dict]:
+    """Fractions over the lcm of their denominators: that denominator and the integer numerators."""
+    den = lcm(*(v.denominator for v in coeffs.values()))
+    return den, {key: v.numerator * (den // v.denominator) for key, v in coeffs.items()}
 
 
 class Linear:

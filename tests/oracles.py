@@ -19,8 +19,10 @@ it, the per-vertex scan of every subset sum behind the base polytope
 check, the order-by-order walk of the chamber census, the CLI's vertex
 list sorted by ``Fraction`` values, the ribbon basis product, relabeling
 and iterated splits of monoid elements (to state naturality and
-coassociativity), and the slotwise antipode and product that state the
-antipode identity live here too, as only tests use them.
+coassociativity), the slotwise antipode and product that state the
+antipode identity, and the Hopf maps and products with one ``Fraction``
+product per term (the library sums integer numerators instead) live here
+too, as only tests use them.
 The generating-function coefficients of the structure counts have one
 copy, ``orbitopes.selftest.egf_counts``, which the tests import.
 """
@@ -53,6 +55,7 @@ from orbitopes.hopf_algebra import (
     TensorElement,
     _antipode_basis,
     _class,
+    _coproduct_basis,
     _multiset,
     coproduct,
     product,
@@ -274,6 +277,43 @@ def convolve_value(zeta: Character, psi: Character, alpha: Composition) -> Fract
     for beta, gamma in splits(alpha):
         total += comb(n, beta.weight) * zeta.on_composition(beta) * psi.on_composition(gamma)
     return total
+
+
+def termwise_antipode(x: HopfElement) -> HopfElement:
+    """The antipode with one Fraction product per (input term, cached term) pair."""
+    return HopfElement._of(combine(
+        (key, v * w) for gm, v in x.coeffs.items() for key, w in _antipode_basis(gm).items()
+    ))
+
+
+def termwise_coproduct_in_slot(t: TensorElement, slot: int) -> TensorElement:
+    """The coproduct in one slot with one Fraction product per (input term, cached term) pair."""
+    return TensorElement._of(combine(
+        (key[:slot] + inner + key[slot + 1:], v * w)
+        for key, v in t.coeffs.items()
+        for inner, w in _coproduct_basis(key[slot]).items()
+    ), t.arity + 1)
+
+
+def termwise_coproduct(x: HopfElement) -> TensorElement:
+    """The coproduct as ``termwise_coproduct_in_slot`` on x read as a tensor of arity 1."""
+    return termwise_coproduct_in_slot(TensorElement._of({(gm,): v for gm, v in x.coeffs.items()}, 1), 0)
+
+
+def termwise_product(x: HopfElement, y: HopfElement) -> HopfElement:
+    """Multiset union on each pair of terms, with one Fraction product per pair."""
+    return HopfElement._of(combine(
+        (k1.union(k2), v1 * v2) for k1, v1 in x.coeffs.items() for k2, v2 in y.coeffs.items()
+    ))
+
+
+def termwise_tensor_product(s: TensorElement, t: TensorElement) -> TensorElement:
+    """Slotwise union on each pair of terms, with one Fraction product per pair."""
+    return TensorElement._of(combine(
+        (tuple(a.union(b) for a, b in zip(k1, k2)), v1 * v2)
+        for k1, v1 in s.coeffs.items()
+        for k2, v2 in t.coeffs.items()
+    ), s.arity)
 
 
 def apply_antipode_slot(t: TensorElement, slot: int) -> TensorElement:

@@ -185,6 +185,8 @@ def test_repeated_flag_count(tmp_path, capsys, argv, message):
 def test_schema_error_names_its_field(tmp_path, capsys, argv, field):
     paths = data_files(tmp_path)
     code, out, err = invoke(capsys, *[paths.get(a, a) for a in argv])
+    # a character file's field is named with the file's path
+    field = {"char": f"char {paths['CHAR_VALUE_5']}"}.get(field, field)
     assert code == 2 and out == "" and err.startswith(f"error: {field}:"), err
 
 
@@ -450,6 +452,44 @@ def test_malformed_json_is_exit_2(tmp_path, capsys):
     for value, digits in [("-" + "9" * 4301, 4301), ("1/" + "7" * 4400, 4400)]:
         code, out, err = invoke(capsys, "classify", "--point", json.dumps({"a": value}))
         assert (code, out) == (2, "") and f"a part of {digits} digits" in err, digits
+
+
+def test_repeated_composition_or_multiset_is_exit_2(tmp_path, capsys):
+    # a key given twice is refused, not summed; multisets are compared after sorting
+    series = tmp_path / "series_twice.json"
+    series.write_text(json.dumps({"degree": 2, "coeffs": [
+        {"composition": [], "coeff": "1"}, {"composition": [1], "coeff": "1"},
+        {"composition": [1], "coeff": "2"}]}))
+    code, out, err = invoke(capsys, "series-inv", "--series", str(series))
+    assert (code, out, err) == (2, "", "error: series: composition [1] is given twice\n")
+    element = [{"coeff": "1", "multiset": [[1], [1, 2]]}, {"coeff": "-1", "multiset": [[1, 2], [1]]}]
+    code, out, err = invoke(capsys, "antipode", "--element", json.dumps(element))
+    assert (code, out, err) == (2, "", "error: element: multiset [[1], [1, 2]] is given twice\n")
+
+
+def test_messages_write_compositions_as_json(tmp_path, capsys):
+    def write(name, payload):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    # --degree below a listed value's weight is refused, with the file named
+    c6 = write("c6.json", {"degree": 6, "values": [{"composition": [1, 3], "value": "1"}]})
+    code, out, err = invoke(capsys, "convolve", "--char", c6, "--char", c6, "--degree", "3")
+    assert (code, out, err) == (2, "", f"error: char {c6}: generator [1, 3] exceeds truncation degree 3\n")
+    c3 = write("c3.json", {"degree": 4, "values": [{"composition": [3], "value": "1"}]})
+    code, out, err = invoke(capsys, "convolve", "--char", c3, "--char", c3)
+    assert (code, out) == (2, "")
+    assert err == f"error: char {c3}: [3] is not a generator; one-part values are derived\n"
+    high = write("high.json", {"degree": 2, "coeffs": [{"composition": [1, 2], "coeff": "1"}]})
+    code, out, err = invoke(capsys, "series-inv", "--series", high)
+    assert (code, out, err) == (2, "", "error: series: coefficient on [1, 2] exceeds truncation degree 2\n")
+    code, out, err = invoke(capsys, "antipode", "--element", '[{"coeff": "1", "multiset": [[3]]}]')
+    assert (code, out, err) == (2, "", "error: element: [3] is not a generator (one part, weight >= 2)\n")
+    code, out, _ = invoke(capsys, "delta", "--composition", "[2,1]", "--sizes", "[1,1]")
+    assert (code, json.loads(out)) == (1, {"error": "sizes [1, 1] do not sum to |[2, 1]| = 3"})
+    code, out, _ = invoke(capsys, "delta", "--composition", "[2,1]", "--size", "7")
+    assert (code, json.loads(out)) == (1, {"error": "cut weight 7 out of range for [2, 1]"})
 
 
 def test_json_integer_past_the_digit_limit_is_exit_2(tmp_path, capsys):

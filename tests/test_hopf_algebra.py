@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -28,6 +28,11 @@ from oracles import (
     multiply_slots,
     partition_multisets,
     recursive_antipode,
+    termwise_antipode,
+    termwise_coproduct,
+    termwise_coproduct_in_slot,
+    termwise_product,
+    termwise_tensor_product,
 )
 
 C = Composition
@@ -303,3 +308,60 @@ def test_basis_caches_are_bounded_and_hold_integers():
         assert cache.cache_info().maxsize >= len(partition_multisets(9))
         for gm in basis:
             assert all(type(v) is int and v for v in cache(gm).values()), gm
+
+
+def _random_element(rng, pool, terms: int) -> HopfElement:
+    # denominators of several primes, so the common denominator is a proper lcm
+    return HopfElement({rng.choice(pool): F(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                            rng.choice([1, 2, 3, 4, 6, 35]))
+                        for _ in range(terms)})
+
+
+def _assert_normalized(element, arity: int = 0):
+    _assert_trusted(element.coeffs, arity)
+    assert all(v.denominator > 0 and gcd(v.numerator, v.denominator) == 1 for v in element.coeffs.values())
+
+
+@pytest.mark.parametrize("terms", [1, 2, 5])
+def test_maps_on_integer_numerators_match_termwise_fractions(terms):
+    # one input term scales one cached image directly; several are summed and combined
+    rng = random.Random(40 + terms)
+    pool = partition_multisets(6)
+    for _ in range(30):
+        x, y = (_random_element(rng, pool, terms) for _ in range(2))
+        cx, cy = coproduct(x), coproduct(y)
+        assert cx == coproduct_in_slot(TensorElement._of({(gm,): v for gm, v in x.coeffs.items()}, 1), 0)
+        for got, want, arity in [
+            (antipode(x), termwise_antipode(x), 0),
+            (cx, termwise_coproduct(x), 2),
+            (coproduct_in_slot(cx, 1), termwise_coproduct_in_slot(cx, 1), 3),
+            (product(x, y), termwise_product(x, y), 0),
+            (cx * cy, termwise_tensor_product(cx, cy), 2),
+        ]:
+            assert got == want, x
+            _assert_normalized(got, arity)
+
+
+def test_cancelling_images_leave_normalized_zero_free_outputs():
+    # S(S(x)) = x drops every other term of S's image; the sums below drop chosen terms
+    rng = random.Random(17)
+    pool = partition_multisets(6)
+    for _ in range(30):
+        x, y = (_random_element(rng, pool, 4) for _ in range(2))
+        assert antipode(antipode(x)) == x
+        assert product(x + y, x - y) == product(x, x) - product(y, y)
+        cx, cy = coproduct(x), coproduct(y)
+        assert (cx + cy) * (cx - cy) == cx * cx - cy * cy
+        for element, arity in [(antipode(antipode(x)), 0), (product(x + y, x - y), 0),
+                               ((cx + cy) * (cx - cy), 2)]:
+            _assert_normalized(element, arity)
+    # S((1,1)) = 2 (1)(1) - (1,1) and S((1)(1)) = (1)(1): 1/6 * 2 + 1/6 = 1/2, and 2 - 2 = 0
+    x = F(1, 6) * elem((1, 1)) + F(1, 6) * elem((1,), (1,))
+    assert antipode(x).coeffs == {gm((1,), (1,)): F(1, 2), gm((1, 1)): F(-1, 6)}
+    assert antipode(elem((1, 1)) - 2 * elem((1,), (1,))).coeffs == {gm((1, 1)): -1}
+    # both classes of weight 2 have 2 (1) (x) (1) in their coproducts
+    cp = coproduct(elem((1, 1)) - elem((1,), (1,)))
+    assert (gm((1,)), gm((1,))) not in cp.coeffs and len(cp.coeffs) == 4
+    lifted = coproduct_in_slot(TensorElement({(gm((1, 1)), EMPTY_MULTISET): 1,
+                                              (gm((1,), (1,)), EMPTY_MULTISET): -1}), 0)
+    assert len(lifted.coeffs) == 4 and all(len(key) == 3 for key in lifted.coeffs)

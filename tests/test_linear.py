@@ -8,7 +8,7 @@ from orbitopes.characters import NSymSeries
 from orbitopes.compositions import Composition
 from orbitopes.hopf_algebra import EMPTY_MULTISET, GeneratorMultiset, HopfElement, TensorElement
 from orbitopes.invariants import BinomialPolynomial
-from orbitopes.linear import Linear, combine
+from orbitopes.linear import Linear, combine, numerators
 
 C = Composition
 F = Fraction
@@ -96,3 +96,8 @@ def test_linear_operations(name):
 def test_combine_sums_and_drops_zeros():
     assert combine([("x", F(1)), ("y", F(2)), ("x", F(-1)), ("z", 0)]) == {"y": F(2)}
     assert list(combine([("b", 1), ("a", 2), ("b", 3)])) == ["b", "a"]
+
+
+def test_numerators_share_one_denominator():
+    assert numerators({"a": F(1, 6), "b": F(-1, 4), "c": F(2)}) == (12, {"a": 2, "b": -3, "c": 24})
+    assert numerators({}) == (1, {})

@@ -2,9 +2,11 @@
 
 import pytest
 
+from orbitopes.characters import Character
 from orbitopes.compositions import EMPTY, Composition
-from orbitopes.geometry import GroundSet
+from orbitopes.geometry import GroundSet, representative_point, standard_ground
 from orbitopes.hopf_algebra import EMPTY_MULTISET, GeneratorMultiset
+from orbitopes.hopf_monoid import class_of
 
 C = Composition
 GM = GeneratorMultiset
@@ -27,10 +29,20 @@ def test_attribute_assignment_raises(value, field):
 def test_validation_errors_are_unchanged():
     with pytest.raises(ValueError, match=r"^composition parts must be positive, got \(1, 0\)$"):
         C((1, 0))
-    with pytest.raises(ValueError, match=r"^Composition\(2,\) is not a generator \(one part, weight >= 2\)$"):
+    with pytest.raises(ValueError, match=r"^\[2\] is not a generator \(one part, weight >= 2\)$"):
         GM([C((1,)), C((2,))])
     with pytest.raises(ValueError, match=r"^ground-set labels must be distinct: \('a', 'a'\)$"):
         GroundSet(("a", "a"))
+
+
+def test_messages_write_compositions_as_json():
+    # the library's messages name a composition as the CLI reads it, e.g. [1, 2]
+    with pytest.raises(ValueError, match=r"^\|\[1, 2\]\| exceeds truncation degree 2$"):
+        Character.basic(2).on_composition(C((1, 2)))
+    with pytest.raises(ValueError, match=r"^\|\[1, 2\]\| = 3 does not match ground set of size 2$"):
+        representative_point(C((1, 2)), standard_ground(2))
+    with pytest.raises(ValueError, match=r"^\|\[1, 2\]\| = 3 does not match 1 labels$"):
+        class_of(C((1, 2)), ["a"])
 
 
 def test_items_are_coerced():
