@@ -54,9 +54,9 @@ class Character:
         values = {Composition(k): Fraction(v) for k, v in dict(values).items()}
         for alpha in values:
             if not is_generator(alpha):
-                raise ValueError(f"{composition_to_json(alpha)} is not a generator; one-part values are derived")
+                raise ValueError(f"{alpha} is not a generator; one-part values are derived")
             if alpha.weight > degree:
-                raise ValueError(f"generator {composition_to_json(alpha)} exceeds truncation degree {degree}")
+                raise ValueError(f"generator {alpha} exceeds truncation degree {degree}")
         self.degree = degree
         self.values = {k: v for k, v in values.items() if v}
 
@@ -81,7 +81,7 @@ class Character:
     def on_composition(self, alpha: Composition) -> Fraction:
         """Value on the class of a composition (weight up to the truncation degree)."""
         if alpha.weight > self.degree:
-            raise ValueError(f"|{composition_to_json(alpha)}| exceeds truncation degree {self.degree}")
+            raise ValueError(f"|{alpha}| exceeds truncation degree {self.degree}")
         if not alpha:
             return Fraction(1)
         if len(alpha) == 1:
@@ -121,7 +121,7 @@ class Character:
                 raise ValueError(f"malformed character value {item!r}")
             alpha = composition_from_json(item["composition"])
             if alpha in values:
-                raise ValueError(f"composition {composition_to_json(alpha)} is given twice")
+                raise ValueError(f"composition {alpha} is given twice")
             values[alpha] = frac_from_str(item["value"])
         return cls(degree, values)
 
@@ -139,7 +139,7 @@ class NSymSeries(Linear):
         coeffs = {Composition(k): Fraction(v) for k, v in dict(coeffs).items()}
         for alpha in coeffs:
             if alpha.weight > degree:
-                raise ValueError(f"coefficient on {composition_to_json(alpha)} exceeds truncation degree {degree}")
+                raise ValueError(f"coefficient on {alpha} exceeds truncation degree {degree}")
         self.degree = degree
         self.coeffs = {k: v for k, v in coeffs.items() if v}
 
@@ -180,7 +180,7 @@ class NSymSeries(Linear):
                 raise ValueError(f"malformed series coefficient {item!r}")
             alpha = composition_from_json(item["composition"])
             if alpha in coeffs:
-                raise ValueError(f"composition {composition_to_json(alpha)} is given twice")
+                raise ValueError(f"composition {alpha} is given twice")
             coeffs[alpha] = frac_from_str(item["coeff"])
         return cls(data["degree"], coeffs)
 

@@ -47,6 +47,10 @@ class Composition(tuple):
     def __repr__(self) -> str:
         return f"Composition{tuple(self)}"
 
+    def __str__(self) -> str:
+        # messages name a composition as the CLI reads it: [1, 2]
+        return str(list(self))
+
 
 EMPTY = Composition()
 ONE = Composition((1,))
@@ -99,7 +103,7 @@ def restrict_contract(alpha: Composition, i: int) -> tuple[Composition, Composit
             return _piece(alpha[:j] + (i - acc,)), _piece((acc + part - i,) + alpha[j + 1:])
         acc += part
     if acc != i:
-        raise ValueError(f"cut weight {i} out of range for {list(alpha)}")
+        raise ValueError(f"cut weight {i} out of range for {alpha}")
     return alpha, EMPTY
 
 
@@ -113,7 +117,7 @@ def iterated_restrict(alpha: Composition, sizes: Sequence[int]) -> list[Composit
     if any(s < 0 for s in sizes):
         raise ValueError("piece sizes must be nonnegative")
     if sum(sizes) != alpha.weight:
-        raise ValueError(f"sizes {sizes} do not sum to |{list(alpha)}| = {alpha.weight}")
+        raise ValueError(f"sizes {list(sizes)} do not sum to |{alpha}| = {alpha.weight}")
     pieces = []
     rest = alpha
     for s in sizes:

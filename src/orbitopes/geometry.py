@@ -428,7 +428,7 @@ def representative_point(alpha: Composition, ground: GroundSet) -> Point:
     """A point with the given composition: values n-1, n-2, ... repeated along the parts."""
     n = alpha.weight
     if n != len(ground):
-        raise ValueError(f"|{list(alpha)}| = {n} does not match ground set of size {len(ground)}")
+        raise ValueError(f"|{alpha}| = {n} does not match ground set of size {len(ground)}")
     values = []
     for j, part in enumerate(alpha):
         values.extend([Fraction(n - 1 - j)] * part)

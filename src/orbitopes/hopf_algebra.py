@@ -14,9 +14,9 @@ antipode of a generator is solved from that generator's coproduct, by
 m(S (x) id)Delta = counit, and extends multiplicatively, since the algebra
 is commutative.  Both maps are cached only on basis multisets, in bounded
 caches of plain dicts with integer coefficients: the structure constants
-are binomial coefficients and their signed sums.  The public maps and
-products read their inputs as integer numerators over one denominator,
-sum integers, and build each output coefficient once as a ``Fraction``.
+are binomial coefficients and their signed sums.  The public maps read
+their input as integer numerators over one denominator, sum integers, and
+build each output coefficient once as a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class GeneratorMultiset(tuple):
         self = tuple.__new__(cls, sorted(map(Composition, members)))
         for alpha in self:
             if not is_generator(alpha):
-                raise ValueError(f"{composition_to_json(alpha)} is not a generator (one part, weight >= 2)")
+                raise ValueError(f"{alpha} is not a generator (one part, weight >= 2)")
         return self
 
     @property
@@ -76,29 +76,17 @@ def _multiset(members: Iterable[Composition]) -> GeneratorMultiset:
 
 
 def _times(x: dict, y: dict) -> dict:
-    """Product of two integer coefficient dicts on multisets: bilinear extension of union."""
+    """Product of two coefficient dicts on multisets: bilinear extension of union."""
     return combine((k1.union(k2), v1 * v2) for k1, v1 in x.items() for k2, v2 in y.items())
 
 
 def _tensor_times(x: dict, y: dict) -> dict:
-    """Product of two integer coefficient dicts on tuples of multisets: union slot by slot."""
+    """Product of two coefficient dicts on tuples of multisets: union slot by slot."""
     return combine(
         (tuple(a.union(b) for a, b in zip(k1, k2)), v1 * v2)
         for k1, v1 in x.items()
         for k2, v2 in y.items()
     )
-
-
-def _over(den: int, nums: dict) -> dict:
-    """Integer numerators over ``den`` as Fractions, one per key."""
-    return {key: Fraction(num, den) for key, num in nums.items()}
-
-
-def _bilinear(times, x: dict, y: dict) -> dict:
-    """An integer product ``times`` of two Fraction dicts, over the product of their denominators."""
-    dx, nx = numerators(x)
-    dy, ny = numerators(y)
-    return _over(dx * dy, times(nx, ny))
 
 
 def _scaled(coeffs: dict, image) -> dict:
@@ -108,9 +96,8 @@ def _scaled(coeffs: dict, image) -> dict:
         # one image: its keys are distinct and its values nonzero, so nothing combines
         [(key, num)] = nums.items()
         return {out: Fraction(num * w, den) for out, w in image(key).items()}
-    return _over(den, combine(
-        (out, num * w) for key, num in nums.items() for out, w in image(key).items()
-    ))
+    summed = combine((out, num * w) for key, num in nums.items() for out, w in image(key).items())
+    return {out: Fraction(num, den) for out, num in summed.items()}
 
 
 class HopfElement(Linear):
@@ -185,7 +172,7 @@ class TensorElement(Linear):
         """Componentwise product: multisets union slotwise, coefficients multiply."""
         if self.arity != other.arity:
             raise ValueError(self._mismatch)
-        return TensorElement._of(_bilinear(_tensor_times, self.coeffs, other.coeffs), self.arity)
+        return TensorElement._of(_tensor_times(self.coeffs, other.coeffs), self.arity)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -221,7 +208,7 @@ def inject(alpha: Composition) -> HopfElement:
 
 def product(x: HopfElement, y: HopfElement) -> HopfElement:
     """Bilinear extension of multiset union."""
-    return HopfElement._of(_bilinear(_times, x.coeffs, y.coeffs))
+    return HopfElement._of(_times(x.coeffs, y.coeffs))
 
 
 def _coproduct_generator(alpha: Composition) -> dict[tuple, int]:

@@ -74,7 +74,7 @@ def class_of(alpha: Composition, ground: Iterable[str]) -> OrbitClassElement:
     """The class of orbit polytopes with composition ``alpha`` over ``ground``."""
     ground = frozenset(ground)
     if alpha.weight != len(ground):
-        raise ValueError(f"|{list(alpha)}| = {alpha.weight} does not match {len(ground)} labels")
+        raise ValueError(f"|{alpha}| = {alpha.weight} does not match {len(ground)} labels")
     if not ground:
         return UNIT
     return OrbitClassElement(ground, [(ground, alpha)])

@@ -20,9 +20,9 @@ check, the order-by-order walk of the chamber census, the CLI's vertex
 list sorted by ``Fraction`` values, the ribbon basis product, relabeling
 and iterated splits of monoid elements (to state naturality and
 coassociativity), the slotwise antipode and product that state the
-antipode identity, and the Hopf maps and products with one ``Fraction``
-product per term (the library sums integer numerators instead) live here
-too, as only tests use them.
+antipode identity, and the Hopf maps with one ``Fraction`` product per
+term (the library sums integer numerators instead) live here too, as only
+tests use them.
 The generating-function coefficients of the structure counts have one
 copy, ``orbitopes.selftest.egf_counts``, which the tests import.
 """
@@ -298,22 +298,6 @@ def termwise_coproduct_in_slot(t: TensorElement, slot: int) -> TensorElement:
 def termwise_coproduct(x: HopfElement) -> TensorElement:
     """The coproduct as ``termwise_coproduct_in_slot`` on x read as a tensor of arity 1."""
     return termwise_coproduct_in_slot(TensorElement._of({(gm,): v for gm, v in x.coeffs.items()}, 1), 0)
-
-
-def termwise_product(x: HopfElement, y: HopfElement) -> HopfElement:
-    """Multiset union on each pair of terms, with one Fraction product per pair."""
-    return HopfElement._of(combine(
-        (k1.union(k2), v1 * v2) for k1, v1 in x.coeffs.items() for k2, v2 in y.coeffs.items()
-    ))
-
-
-def termwise_tensor_product(s: TensorElement, t: TensorElement) -> TensorElement:
-    """Slotwise union on each pair of terms, with one Fraction product per pair."""
-    return TensorElement._of(combine(
-        (tuple(a.union(b) for a, b in zip(k1, k2)), v1 * v2)
-        for k1, v1 in s.coeffs.items()
-        for k2, v2 in t.coeffs.items()
-    ), s.arity)
 
 
 def apply_antipode_slot(t: TensorElement, slot: int) -> TensorElement:

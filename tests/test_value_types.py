@@ -3,10 +3,10 @@
 import pytest
 
 from orbitopes.characters import Character
-from orbitopes.compositions import EMPTY, Composition
+from orbitopes.compositions import EMPTY, Composition, multinomial
 from orbitopes.geometry import GroundSet, representative_point, standard_ground
 from orbitopes.hopf_algebra import EMPTY_MULTISET, GeneratorMultiset
-from orbitopes.hopf_monoid import class_of
+from orbitopes.hopf_monoid import OrbitClassElement, class_of
 
 C = Composition
 GM = GeneratorMultiset
@@ -43,6 +43,11 @@ def test_messages_write_compositions_as_json():
         representative_point(C((1, 2)), standard_ground(2))
     with pytest.raises(ValueError, match=r"^\|\[1, 2\]\| = 3 does not match 1 labels$"):
         class_of(C((1, 2)), ["a"])
+    with pytest.raises(ValueError, match=r"^composition \[1, 2\] does not fit block of size 2$"):
+        OrbitClassElement(["a", "b"], [(["a", "b"], C((1, 2)))])
+    with pytest.raises(ValueError, match=r"^\[1, 2\] is not a composition of 4$"):
+        multinomial(4, C((1, 2)))
+    assert str(C((1, 2))) == "[1, 2]" and str(EMPTY) == "[]"
 
 
 def test_items_are_coerced():
