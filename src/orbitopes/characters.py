@@ -3,7 +3,9 @@
 A character is a multiplicative rational functional; it is pinned down by
 its values on the generating compositions (the composition (1) together
 with all compositions of two or more parts), and its value on a one-part
-composition (n) is forced to be the n-th power of its value on (1).
+composition (n) is forced to be the n-th power of its value on (1).  A
+``Character`` and an ``NSymSeries`` carry one payload, a truncation degree and
+rationals on compositions: one constructor check, JSON codec and row builder.
 
 The map ``char_to_series`` realizes the character group inside
 degree-truncated series over the ribbon basis of noncommutative symmetric
@@ -30,15 +32,56 @@ from math import factorial, gcd, lcm
 from typing import Mapping
 
 from .compositions import EMPTY, ONE, Composition, _piece, is_generator
-from .jsonio import composition_from_json, composition_to_json, frac_from_str, frac_to_str
+from .jsonio import composition_from_json, frac_from_str, frac_to_str
 from .linear import Linear, numerators
 
 DEFAULT_DEGREE = 6
 
+# JSON layout of each graded type: its array, the rational's key, and the nouns of its messages
+_VALUES = ("values", "value", "character", "value")
+_COEFFS = ("coeffs", "coeff", "series", "coefficient")
 
-def _check_degree(degree) -> None:
+
+def _graded(degree, coeffs: Mapping, what: str) -> dict[Composition, Fraction]:
+    """Nonzero coefficients keyed by compositions of weight <= degree; generators if what == "generator"."""
     if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
         raise ValueError(f"truncation degree must be a nonnegative integer, got {degree!r}")
+    out = {}
+    for key, value in dict(coeffs).items():
+        alpha = Composition(key)
+        if what == "generator" and not is_generator(alpha):
+            raise ValueError(f"{alpha} is not a generator; one-part values are derived")
+        if alpha.weight > degree:
+            raise ValueError(f"{what} {alpha} exceeds truncation degree {degree}")
+        value = Fraction(value)
+        if value:
+            out[alpha] = value
+    return out
+
+
+def _to_json(degree: int, coeffs: dict[Composition, Fraction], layout: tuple) -> dict:
+    field, key = layout[:2]
+    ordered = sorted(coeffs.items(), key=lambda kv: (kv[0].weight, kv[0]))
+    return {
+        "degree": degree,
+        field: [{"composition": list(alpha), key: frac_to_str(v)} for alpha, v in ordered],
+    }
+
+
+def _from_json(data, layout: tuple, degree=None) -> tuple:
+    """Degree (unless given) and coefficients of ``{"degree": N, field: [{"composition": c, key: q}]}``."""
+    field, key, noun, term = layout
+    if not isinstance(data, dict) or "degree" not in data or not isinstance(data.get(field), list):
+        raise ValueError(f"a {noun} must be a JSON object with 'degree' and a '{field}' array")
+    coeffs = {}
+    for item in data[field]:
+        if not isinstance(item, dict) or "composition" not in item or key not in item:
+            raise ValueError(f"malformed {noun} {term} {item!r}")
+        alpha = composition_from_json(item["composition"])
+        if alpha in coeffs:
+            raise ValueError(f"composition {alpha} is given twice")
+        coeffs[alpha] = frac_from_str(item[key])
+    return data["degree"] if degree is None else degree, coeffs
 
 
 class Character:
@@ -50,15 +93,8 @@ class Character:
 
     def __init__(self, degree: int = DEFAULT_DEGREE,
                  values: Mapping[Composition, Fraction] = ()):
-        _check_degree(degree)
-        values = {Composition(k): Fraction(v) for k, v in dict(values).items()}
-        for alpha in values:
-            if not is_generator(alpha):
-                raise ValueError(f"{alpha} is not a generator; one-part values are derived")
-            if alpha.weight > degree:
-                raise ValueError(f"generator {alpha} exceeds truncation degree {degree}")
+        self.values = _graded(degree, values, "generator")
         self.degree = degree
-        self.values = {k: v for k, v in values.items() if v}
 
     @classmethod
     def _of(cls, degree: int, values: dict[Composition, Fraction]) -> "Character":
@@ -100,30 +136,11 @@ class Character:
         return f"Character(degree={self.degree}, values={vals})"
 
     def to_json(self) -> dict:
-        ordered = sorted(self.values.items(), key=lambda kv: (kv[0].weight, kv[0]))
-        return {
-            "degree": self.degree,
-            "values": [
-                {"composition": composition_to_json(k), "value": frac_to_str(v)}
-                for k, v in ordered
-            ],
-        }
+        return _to_json(self.degree, self.values, _VALUES)
 
     @classmethod
     def from_json(cls, data, degree: int | None = None) -> "Character":
-        if not isinstance(data, dict) or not isinstance(data.get("values"), list):
-            raise ValueError("a character must be a JSON object with a 'values' array")
-        if degree is None:
-            degree = data.get("degree", DEFAULT_DEGREE)
-        values = {}
-        for item in data["values"]:
-            if not isinstance(item, dict) or "composition" not in item or "value" not in item:
-                raise ValueError(f"malformed character value {item!r}")
-            alpha = composition_from_json(item["composition"])
-            if alpha in values:
-                raise ValueError(f"composition {alpha} is given twice")
-            values[alpha] = frac_from_str(item["value"])
-        return cls(degree, values)
+        return cls(*_from_json(data, _VALUES, degree))
 
 
 class NSymSeries(Linear):
@@ -135,13 +152,8 @@ class NSymSeries(Linear):
 
     def __init__(self, degree: int = DEFAULT_DEGREE,
                  coeffs: Mapping[Composition, Fraction] = ()):
-        _check_degree(degree)
-        coeffs = {Composition(k): Fraction(v) for k, v in dict(coeffs).items()}
-        for alpha in coeffs:
-            if alpha.weight > degree:
-                raise ValueError(f"coefficient on {alpha} exceeds truncation degree {degree}")
+        self.coeffs = _graded(degree, coeffs, "coefficient on")
         self.degree = degree
-        self.coeffs = {k: v for k, v in coeffs.items() if v}
 
     @classmethod
     def unit(cls, degree: int = DEFAULT_DEGREE) -> "NSymSeries":
@@ -161,44 +173,24 @@ class NSymSeries(Linear):
         return f"NSymSeries({body}; deg<={self.degree})"
 
     def to_json(self) -> dict:
-        ordered = sorted(self.coeffs.items(), key=lambda kv: (kv[0].weight, kv[0]))
-        return {
-            "degree": self.degree,
-            "coeffs": [
-                {"composition": composition_to_json(k), "coeff": frac_to_str(v)}
-                for k, v in ordered
-            ],
-        }
+        return _to_json(self.degree, self.coeffs, _COEFFS)
 
     @classmethod
     def from_json(cls, data) -> "NSymSeries":
-        if not isinstance(data, dict) or "degree" not in data or not isinstance(data.get("coeffs"), list):
-            raise ValueError("a series must be a JSON object with 'degree' and a 'coeffs' array")
-        coeffs = {}
-        for item in data["coeffs"]:
-            if not isinstance(item, dict) or "composition" not in item or "coeff" not in item:
-                raise ValueError(f"malformed series coefficient {item!r}")
-            alpha = composition_from_json(item["composition"])
-            if alpha in coeffs:
-                raise ValueError(f"composition {alpha} is given twice")
-            coeffs[alpha] = frac_from_str(item["coeff"])
-        return cls(data["degree"], coeffs)
+        return cls(*_from_json(data, _COEFFS))
 
 
 _Row = tuple[int, dict[Composition, int]]  # (D_n, numerators): coefficients numerator / D_n
 
 
-def _row(values: Mapping[Composition, Fraction], scale: int = 1) -> _Row:
-    """Fractions over the lcm of their denominators, that denominator times ``scale``."""
-    den, nums = numerators(values)
-    return den * scale, nums
-
-
-def _rows(f: NSymSeries) -> list[_Row]:
-    by_weight: list[dict[Composition, Fraction]] = [{} for _ in range(f.degree + 1)]
-    for alpha, value in f.coeffs.items():
-        by_weight[alpha.weight][alpha] = value
-    return [_row(values) for values in by_weight]
+def _rows(coeffs: Mapping[Composition, Fraction], degree: int) -> list[_Row]:
+    """The coefficients of weight up to ``degree``, one row per weight over its own lcm."""
+    by_weight: list[dict[Composition, Fraction]] = [{} for _ in range(degree + 1)]
+    for alpha, value in coeffs.items():
+        n = alpha.weight
+        if n <= degree:
+            by_weight[n][alpha] = value
+    return [numerators(values) for values in by_weight]
 
 
 def _series(rows: list[_Row]) -> NSymSeries:
@@ -259,14 +251,14 @@ def series_mul(f: NSymSeries, g: NSymSeries) -> NSymSeries:
     """
     if f.degree != g.degree:
         raise ValueError(NSymSeries._mismatch)
-    return _series(_product_rows(_rows(f), _rows(g)))
+    return _series(_product_rows(_rows(f.coeffs, f.degree), _rows(g.coeffs, g.degree)))
 
 
 def series_inverse(f: NSymSeries) -> NSymSeries:
     """Multiplicative inverse in increasing weight; needs a nonzero constant term."""
     if f.coefficient(EMPTY) == 0:
         raise ValueError("non-invertible series: constant coefficient is 0")
-    return _series(_inverse_rows(_rows(f)))
+    return _series(_inverse_rows(_rows(f.coeffs, f.degree)))
 
 
 def in_group_G(f: NSymSeries) -> bool:
@@ -282,17 +274,12 @@ def in_group_G(f: NSymSeries) -> bool:
 
 def _char_rows(zeta: Character, degree: int) -> list[_Row]:
     """Rows of the realization: weight n over n! times the lcm of its value denominators."""
-    by_weight: list[dict[Composition, Fraction]] = [{} for _ in range(degree + 1)]
-    by_weight[0][EMPTY] = Fraction(1)
-    for alpha, value in zeta.values.items():
-        n = alpha.weight
-        if n <= degree:
-            by_weight[n][alpha] = value
+    realized = {EMPTY: Fraction(1), **zeta.values}
     c1 = zeta.values.get(ONE)
     if c1:
         for n in range(2, degree + 1):
-            by_weight[n][Composition((n,))] = c1 ** n
-    return [_row(values, factorial(n)) for n, values in enumerate(by_weight)]
+            realized[Composition((n,))] = c1 ** n
+    return [(den * factorial(n), nums) for n, (den, nums) in enumerate(_rows(realized, degree))]
 
 
 def _character(rows: list[_Row]) -> Character:
@@ -315,7 +302,7 @@ def series_to_char(f: NSymSeries) -> Character:
     """Pull a group series back to the character with those generator values."""
     if not in_group_G(f):
         raise ValueError("series is not in the character group image")
-    return _character(_rows(f))
+    return _character(_rows(f.coeffs, f.degree))
 
 
 def convolve(zeta: Character, psi: Character) -> Character:

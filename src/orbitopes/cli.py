@@ -14,7 +14,7 @@ import json
 import sys
 from collections import Counter
 
-from .jsonio import composition_from_json, composition_to_json, frac_from_str, frac_to_str
+from .jsonio import composition_from_json, frac_from_str, frac_to_str
 
 
 # largest degree the graded-algebra and series subcommands accept (a composition's weight,
@@ -87,14 +87,15 @@ def _parse_functional(text: str) -> dict:
     return _schema("functional", lambda d: {str(k): frac_from_str(v) for k, v in d.items()}, data)
 
 
-def _load_json_file(path: str, what: str):
-    # ValueError: a NUL in the path or bytes that are not UTF-8
+def _load(path: str, what: str, convert, **kwargs):
+    # ValueError: a NUL in the path or bytes that are not UTF-8; every later error names the file
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, ValueError) as exc:
         raise SchemaError(f"{what}: cannot read {path}: {exc}") from exc
-    return _parse_json(text, f"{what} {path}")
+    where = f"{what} {path}"
+    return _schema(where, convert, _parse_json(text, where), **kwargs)
 
 
 def _vertex_rows(ground, distinct, arrangements) -> list[dict]:
@@ -108,7 +109,7 @@ def cmd_classify(args) -> dict:
     from .geometry import composition_of_point
 
     p = _parse_point(args.point[0])
-    return {"composition": composition_to_json(composition_of_point(p))}
+    return {"composition": list(composition_of_point(p))}
 
 
 def cmd_vertices(args) -> dict:
@@ -144,15 +145,12 @@ def cmd_delta(args) -> dict:
         raise SchemaError("delta: give exactly one of --size or --sizes")
     if args.size is not None:
         left, right = restrict_contract(alpha, args.size)
-        return {
-            "restricted": composition_to_json(left),
-            "contracted": composition_to_json(right),
-        }
+        return {"restricted": list(left), "contracted": list(right)}
     sizes = _parse_json(args.sizes, "sizes")
     if not isinstance(sizes, list) or any(not isinstance(s, int) or isinstance(s, bool) for s in sizes):
         raise SchemaError("sizes: expected a JSON array of integers")
     factors = iterated_restrict(alpha, sizes)
-    return {"factors": [composition_to_json(f) for f in factors]}
+    return {"factors": [list(f) for f in factors]}
 
 
 def cmd_coproduct(args) -> dict:
@@ -169,8 +167,8 @@ def cmd_coproduct(args) -> dict:
         "terms": [
             {
                 "coeff": frac_to_str(v),
-                "left": [composition_to_json(a) for a in left],
-                "right": [composition_to_json(a) for a in right],
+                "left": [list(a) for a in left],
+                "right": [list(a) for a in right],
             }
             for (left, right), v in ordered
         ]
@@ -195,10 +193,7 @@ def cmd_chi(args) -> dict:
 def cmd_convolve(args) -> dict:
     from .characters import Character, char_to_series, convolve
 
-    zeta, psi = (
-        _schema(f"char {path}", Character.from_json, _load_json_file(path, "char"), degree=args.degree)
-        for path in args.char
-    )
+    zeta, psi = (_load(path, "char", Character.from_json, degree=args.degree) for path in args.char)
     _check_degree_bound(min(zeta.degree, psi.degree))
     result = convolve(zeta, psi)
     return {"character": result.to_json(), "series": char_to_series(result).to_json()}
@@ -207,7 +202,7 @@ def cmd_convolve(args) -> dict:
 def _load_series(path: str):
     from .characters import NSymSeries
 
-    f = _schema("series", NSymSeries.from_json, _load_json_file(path, "series"))
+    f = _load(path, "series", NSymSeries.from_json)
     _check_degree_bound(f.degree)
     return f
 

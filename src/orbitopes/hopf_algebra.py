@@ -27,7 +27,7 @@ from math import comb
 from typing import Iterable, Mapping
 
 from .compositions import ONE, Composition, _integer, is_generator, splits
-from .jsonio import composition_from_json, composition_to_json, frac_from_str, frac_to_str
+from .jsonio import composition_from_json, frac_from_str, frac_to_str
 from .linear import Linear, combine, numerators
 
 
@@ -131,7 +131,7 @@ class HopfElement(Linear):
     def to_json(self) -> list:
         ordered = sorted(self.coeffs.items(), key=lambda kv: (kv[0].degree, kv[0]))
         return [
-            {"coeff": frac_to_str(v), "multiset": [composition_to_json(a) for a in k]}
+            {"coeff": frac_to_str(v), "multiset": [list(a) for a in k]}
             for k, v in ordered
         ]
 
@@ -145,7 +145,7 @@ class HopfElement(Linear):
                 raise ValueError(f"malformed element term {term!r}")
             gm = GeneratorMultiset(composition_from_json(a) for a in term["multiset"])
             if gm in coeffs:
-                raise ValueError(f"multiset {[composition_to_json(a) for a in gm]} is given twice")
+                raise ValueError(f"multiset {[list(a) for a in gm]} is given twice")
             coeffs[gm] = frac_from_str(term["coeff"])
         return cls._of({gm: v for gm, v in coeffs.items() if v})
 

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm
+from math import factorial
 from operator import index
 from typing import Mapping
 
 from .compositions import Composition, multinomial, stirling_row
 from .hopf_monoid import OrbitClassElement, class_of, delta
-from .linear import Linear
+from .linear import Linear, numerators
 
 # largest composition weight ``chi`` accepts; its cost and output grow as weight^2
 CHI_MAX_WEIGHT = 200
@@ -71,23 +71,20 @@ def to_monomial(p: BinomialPolynomial) -> list[Fraction]:
     k! binom(t, k) and multiplies it by (t - k) for the next k.  The sum is
     taken over one common denominator, so the inner loop is integer work.
     """
-    denominator = 1
-    for k, c in p.coeffs.items():
-        denominator = lcm(denominator, c.denominator * factorial(k))
-    numerators = [0] * (p.degree + 1)
+    denominator, scaled = numerators({k: c / factorial(k) for k, c in p.coeffs.items()})
+    out = [0] * (p.degree + 1)
     falling = [1]
     for k in range(p.degree + 1):
         if k:
             falling = [0] + falling
             for j in range(k):
                 falling[j] -= (k - 1) * falling[j + 1]
-        c = p.coeffs.get(k)
-        if c:
-            scale = c.numerator * (denominator // (c.denominator * factorial(k)))
+        scale = scaled.get(k)
+        if scale:
             for j, fj in enumerate(falling):
-                numerators[j] += scale * fj
+                out[j] += scale * fj
     # the top coefficient is c_d / d!, never 0, so nothing needs trimming
-    return [Fraction(v, denominator) for v in numerators]
+    return [Fraction(v, denominator) for v in out]
 
 
 def chi(alpha: Composition) -> BinomialPolynomial:

@@ -42,10 +42,6 @@ def frac_from_str(s) -> Fraction:
     return Fraction(p, q)
 
 
-def composition_to_json(alpha: Composition) -> list[int]:
-    return list(alpha)
-
-
 def composition_from_json(data) -> Composition:
     if not isinstance(data, list) or any(not isinstance(p, int) or isinstance(p, bool) for p in data):
         raise ValueError(f"a composition must be a JSON array of integers, got {data!r}")

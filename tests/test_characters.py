@@ -329,6 +329,27 @@ def test_character_validation():
             make(3, {(0, 1): 1})
         with pytest.raises(ValueError, match="integers"):
             make(3, {(1.5, 1.5): 1})
+    # each single fault has one message; a zero value does not hide a bad key
+    cases = [
+        (NSymSeries, 2, {(1, 2): 1}, "coefficient on [1, 2] exceeds truncation degree 2"),
+        (Character, 2, {(1, 1, 1): 1}, "generator [1, 1, 1] exceeds truncation degree 2"),
+        (NSymSeries, 2, {(1, 2): 0}, "coefficient on [1, 2] exceeds truncation degree 2"),
+        (Character, 4, {(3,): F(1)}, "[3] is not a generator; one-part values are derived"),
+        (Character, 4, {(3,): 0}, "[3] is not a generator; one-part values are derived"),
+        (Character, 4, {(): 1}, "[] is not a generator; one-part values are derived"),
+    ]
+    for make in (NSymSeries, Character):
+        cases += [
+            (make, -1, {}, "truncation degree must be a nonnegative integer, got -1"),
+            (make, "4", {(1,): 1}, "truncation degree must be a nonnegative integer, got '4'"),
+            (make, 3, {(0, 1): 0}, "composition parts must be positive, got (0, 1)"),
+            (make, 3, {"ab": 1}, "composition parts must be integers, got 'ab'"),
+            (make, 3, {5: 1}, "composition parts must be integers, got 5"),
+        ]
+    for make, degree, coeffs, message in cases:
+        with pytest.raises(ValueError) as info:
+            make(degree, coeffs)
+        assert str(info.value) == message, (make, degree, coeffs)
 
 
 def test_series_json_roundtrip():

@@ -139,12 +139,13 @@ def test_normeq_needs_two_points(capsys):
 
 
 def data_files(tmp_path) -> dict:
-    """Paths of a valid character and series file, and of two malformed ones."""
+    """Paths of a valid character and series file, and of three malformed ones."""
     files = {
         "CHAR": Character.basic(2).to_json(),
         "SERIES": char_to_series(Character.basic(2)).to_json(),
         "CHAR_VALUE_5": {"degree": 4, "values": [5]},
         "SERIES_COEFF_5": {"degree": 4, "coeffs": [5]},
+        "CHAR_NO_DEGREE": {"values": [{"composition": [1], "value": "1"}]},
     }
     for name, payload in files.items():
         (tmp_path / name).write_text(json.dumps(payload))
@@ -181,12 +182,16 @@ def test_repeated_flag_count(tmp_path, capsys, argv, message):
     (["classify", "--point", "[1,2]"], "point"),
     (["classify", "--point", '{"a": 1.5}'], "point"),
     (["classify", "--point", '{"a": null}'], "point"),
+    # "degree" is required, also where --degree overrides it
+    (["convolve", "--char", "CHAR_NO_DEGREE", "--char", "CHAR_NO_DEGREE"], "char"),
+    (["convolve", "--char", "CHAR_NO_DEGREE", "--char", "CHAR_NO_DEGREE", "--degree", "2"], "char"),
 ])
 def test_schema_error_names_its_field(tmp_path, capsys, argv, field):
     paths = data_files(tmp_path)
     code, out, err = invoke(capsys, *[paths.get(a, a) for a in argv])
-    # a character file's field is named with the file's path
-    field = {"char": f"char {paths['CHAR_VALUE_5']}"}.get(field, field)
+    # a file's field is named with the file's path
+    if field in ("char", "series"):
+        field = f"{field} {paths[argv[2]]}"
     assert code == 2 and out == "" and err.startswith(f"error: {field}:"), err
 
 
@@ -423,12 +428,18 @@ def test_malformed_json_is_exit_2(tmp_path, capsys):
         {"degree": True, "coeffs": []},
         {"degree": 6, "coeffs": 5},
     ]):
-        code, out, err = invoke(capsys, "series-inv", "--series", write(f"series{i}.json", payload))
-        assert code == 2 and out == "" and err.startswith("error: series:"), payload
+        path = write(f"series{i}.json", payload)
+        code, out, err = invoke(capsys, "series-inv", "--series", path)
+        assert code == 2 and out == "" and err.startswith(f"error: series {path}:"), payload
 
     values_int = write("values_int.json", {"degree": 4, "values": 5})
     code, out, err = invoke(capsys, "convolve", "--char", values_int, "--char", values_int)
     assert code == 2 and out == "" and "'values' array" in err
+    no_degree = write("no_degree.json", {"values": [{"composition": [1], "value": "1"}]})
+    for extra in ([], ["--degree", "3"]):
+        code, out, err = invoke(capsys, "convolve", "--char", no_degree, "--char", no_degree, *extra)
+        message = "a character must be a JSON object with 'degree' and a 'values' array"
+        assert (code, out, err) == (2, "", f"error: char {no_degree}: {message}\n"), extra
 
     empty = write("empty_char.json", {"degree": -3, "values": []})
     code, out, err = invoke(capsys, "convolve", "--char", empty, "--char", empty, "--degree", "-3")
@@ -448,7 +459,7 @@ def test_malformed_json_is_exit_2(tmp_path, capsys):
     huge = write("huge.json", {"degree": 2, "coeffs": [{"composition": [], "coeff": "9" * 5000}]})
     code, out, err = invoke(capsys, "series-inv", "--series", huge)
     assert (code, out) == (2, "")
-    assert err == "error: series: rational with a part of 5000 digits, more than int() converts\n"
+    assert err == f"error: series {huge}: rational with a part of 5000 digits, more than int() converts\n"
     for value, digits in [("-" + "9" * 4301, 4301), ("1/" + "7" * 4400, 4400)]:
         code, out, err = invoke(capsys, "classify", "--point", json.dumps({"a": value}))
         assert (code, out) == (2, "") and f"a part of {digits} digits" in err, digits
@@ -461,7 +472,7 @@ def test_repeated_composition_or_multiset_is_exit_2(tmp_path, capsys):
         {"composition": [], "coeff": "1"}, {"composition": [1], "coeff": "1"},
         {"composition": [1], "coeff": "2"}]}))
     code, out, err = invoke(capsys, "series-inv", "--series", str(series))
-    assert (code, out, err) == (2, "", "error: series: composition [1] is given twice\n")
+    assert (code, out, err) == (2, "", f"error: series {series}: composition [1] is given twice\n")
     element = [{"coeff": "1", "multiset": [[1], [1, 2]]}, {"coeff": "-1", "multiset": [[1, 2], [1]]}]
     code, out, err = invoke(capsys, "antipode", "--element", json.dumps(element))
     assert (code, out, err) == (2, "", "error: element: multiset [[1], [1, 2]] is given twice\n")
@@ -483,7 +494,7 @@ def test_messages_write_compositions_as_json(tmp_path, capsys):
     assert err == f"error: char {c3}: [3] is not a generator; one-part values are derived\n"
     high = write("high.json", {"degree": 2, "coeffs": [{"composition": [1, 2], "coeff": "1"}]})
     code, out, err = invoke(capsys, "series-inv", "--series", high)
-    assert (code, out, err) == (2, "", "error: series: coefficient on [1, 2] exceeds truncation degree 2\n")
+    assert (code, out, err) == (2, "", f"error: series {high}: coefficient on [1, 2] exceeds truncation degree 2\n")
     code, out, err = invoke(capsys, "antipode", "--element", '[{"coeff": "1", "multiset": [[3]]}]')
     assert (code, out, err) == (2, "", "error: element: [3] is not a generator (one part, weight >= 2)\n")
     code, out, _ = invoke(capsys, "delta", "--composition", "[2,1]", "--sizes", "[1,1]")

@@ -127,19 +127,22 @@ def test_chi_bound():
 
 
 def test_to_monomial_of_chi_matches_pointwise_evaluation():
-    # a polynomial of degree d is fixed by its values at t = 0..d
+    # a polynomial of degree d is fixed by its values at t = 0..d; also on random binomial-basis inputs
     rng = random.Random(5)
     cases = [C((n,)) for n in (1, 12, 30)] + [C((1,) * 30), C((4, 4, 5, 5))]
     for n in range(1, 31):
         parts = sorted(rng.sample(range(1, n), rng.randint(0, min(n - 1, 5))))
         cases.append(C(b - a for a, b in zip([0, *parts], [*parts, n])))
-    for alpha in cases:
-        p = chi(alpha)
+    polys = [chi(alpha) for alpha in cases]
+    # mixed denominators, some sharing factors with k!, and gaps in k
+    for _ in range(40):
+        ks = rng.sample(range(16), rng.randint(0, 8))
+        polys.append(BinomialPolynomial({k: F(rng.randint(-60, 60), rng.choice([1, 2, 3, 4, 9, 35, 720])) for k in ks}))
+    for p in polys:
         mono = to_monomial(p)
-        assert len(mono) == alpha.weight + 1
-        for t in range(alpha.weight + 1):
-            expected = sum(c * binom_frac(t, k) for k, c in p.coeffs.items())
-            assert eval_monomial(mono, t) == expected, (alpha, t)
+        assert len(mono) == p.degree + 1
+        for t in range(p.degree + 1):
+            assert eval_monomial(mono, t) == value(p, t), (p, t)
 
 
 def test_chi_multiplicative_over_products():
