@@ -43,17 +43,16 @@ _COEFFS = ("coeffs", "coeff", "series", "coefficient")
 
 
 def _graded(degree, coeffs: Mapping, what: str) -> dict[Composition, Fraction]:
-    """Nonzero coefficients keyed by compositions of weight <= degree; generators if what == "generator"."""
+    """Nonzero coefficients keyed by compositions of weight <= degree; ``what`` names them in messages."""
     if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
         raise ValueError(f"truncation degree must be a nonnegative integer, got {degree!r}")
     out = {}
     for key, value in dict(coeffs).items():
         alpha = Composition(key)
-        if what == "generator" and not is_generator(alpha):
-            raise ValueError(f"{alpha} is not a generator; one-part values are derived")
         if alpha.weight > degree:
             raise ValueError(f"{what} {alpha} exceeds truncation degree {degree}")
-        value = Fraction(value)
+        # a Fraction is immutable, so Fraction(value) would only copy it
+        value = value if type(value) is Fraction else Fraction(value)
         if value:
             out[alpha] = value
     return out
@@ -93,6 +92,11 @@ class Character:
 
     def __init__(self, degree: int = DEFAULT_DEGREE,
                  values: Mapping[Composition, Fraction] = ()):
+        # before _graded drops zeros: a zero on a non-generator is refused too
+        values = {Composition(k): v for k, v in dict(values).items()}
+        for alpha in values:
+            if not is_generator(alpha):
+                raise ValueError(f"{alpha} is not a generator; one-part values are derived")
         self.values = _graded(degree, values, "generator")
         self.degree = degree
 

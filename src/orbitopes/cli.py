@@ -88,13 +88,13 @@ def _parse_functional(text: str) -> dict:
 
 
 def _load(path: str, what: str, convert, **kwargs):
-    # ValueError: a NUL in the path or bytes that are not UTF-8; every later error names the file
+    # every error names the file; ValueError: a NUL in the path or bytes that are not UTF-8
+    where = f"{what} {path}"
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, ValueError) as exc:
-        raise SchemaError(f"{what}: cannot read {path}: {exc}") from exc
-    where = f"{what} {path}"
+        raise SchemaError(f"{where}: cannot read: {exc}") from exc
     return _schema(where, convert, _parse_json(text, where), **kwargs)
 
 

@@ -185,9 +185,12 @@ def test_repeated_flag_count(tmp_path, capsys, argv, message):
     # "degree" is required, also where --degree overrides it
     (["convolve", "--char", "CHAR_NO_DEGREE", "--char", "CHAR_NO_DEGREE"], "char"),
     (["convolve", "--char", "CHAR_NO_DEGREE", "--char", "CHAR_NO_DEGREE", "--degree", "2"], "char"),
+    # so does a file that cannot be read
+    (["convolve", "--char", "MISSING", "--char", "CHAR"], "char"),
+    (["series-inv", "--series", "MISSING"], "series"),
 ])
 def test_schema_error_names_its_field(tmp_path, capsys, argv, field):
-    paths = data_files(tmp_path)
+    paths = dict(data_files(tmp_path), MISSING=str(tmp_path / "missing.json"))
     code, out, err = invoke(capsys, *[paths.get(a, a) for a in argv])
     # a file's field is named with the file's path
     if field in ("char", "series"):
@@ -371,7 +374,7 @@ def test_deep_nesting_is_exit_2(tmp_path, capsys):
     assert code == 2 and out == "" and "invalid JSON" in err
     path.write_bytes(b"\xff\xfe")
     code, out, err = invoke(capsys, "series-inv", "--series", str(path))
-    assert code == 2 and out == "" and "cannot read" in err
+    assert code == 2 and out == "" and err.startswith(f"error: series {path}: cannot read: ")
 
 
 def python_dash_m(*argv):
