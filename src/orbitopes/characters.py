@@ -32,8 +32,7 @@ from math import factorial, gcd, lcm
 from typing import Mapping
 
 from .compositions import EMPTY, ONE, Composition, _piece, is_generator
-from .jsonio import composition_from_json, frac_from_str, frac_to_str
-from .linear import Linear, numerators
+from .linear import Linear, as_fraction, frac_from_str, numerators
 
 DEFAULT_DEGREE = 6
 
@@ -51,8 +50,7 @@ def _graded(degree, coeffs: Mapping, what: str) -> dict[Composition, Fraction]:
         alpha = Composition(key)
         if alpha.weight > degree:
             raise ValueError(f"{what} {alpha} exceeds truncation degree {degree}")
-        # a Fraction is immutable, so Fraction(value) would only copy it
-        value = value if type(value) is Fraction else Fraction(value)
+        value = as_fraction(value)
         if value:
             out[alpha] = value
     return out
@@ -63,7 +61,7 @@ def _to_json(degree: int, coeffs: dict[Composition, Fraction], layout: tuple) ->
     ordered = sorted(coeffs.items(), key=lambda kv: (kv[0].weight, kv[0]))
     return {
         "degree": degree,
-        field: [{"composition": list(alpha), key: frac_to_str(v)} for alpha, v in ordered],
+        field: [{"composition": list(alpha), key: str(v)} for alpha, v in ordered],
     }
 
 
@@ -76,7 +74,7 @@ def _from_json(data, layout: tuple, degree=None) -> tuple:
     for item in data[field]:
         if not isinstance(item, dict) or "composition" not in item or key not in item:
             raise ValueError(f"malformed {noun} {term} {item!r}")
-        alpha = composition_from_json(item["composition"])
+        alpha = Composition.from_json(item["composition"])
         if alpha in coeffs:
             raise ValueError(f"composition {alpha} is given twice")
         coeffs[alpha] = frac_from_str(item[key])

@@ -14,7 +14,7 @@ import json
 import sys
 from collections import Counter
 
-from .jsonio import composition_from_json, frac_from_str, frac_to_str
+from .compositions import Composition
 
 
 # largest degree the graded-algebra and series subcommands accept (a composition's weight,
@@ -62,29 +62,13 @@ def _parse_json(text: str, what: str):
         raise SchemaError(f"{what}: invalid JSON ({exc})") from exc
 
 
-def _schema(field: str, convert, data, **kwargs):
-    # a ValueError while reading the payload is a schema error on its field
+def _payload(text: str, what: str, convert, **kwargs):
+    # parse, then convert: a ValueError while reading the payload is a schema error on ``what``
+    data = _parse_json(text, what)
     try:
         return convert(data, **kwargs)
     except ValueError as exc:
-        raise SchemaError(f"{field}: {exc}") from exc
-
-
-def _parse_point(text: str):
-    from .geometry import Point
-
-    return _schema("point", Point.from_json, _parse_json(text, "point"))
-
-
-def _parse_composition(text: str):
-    return _schema("composition", composition_from_json, _parse_json(text, "composition"))
-
-
-def _parse_functional(text: str) -> dict:
-    data = _parse_json(text, "functional")
-    if not isinstance(data, dict):
-        raise SchemaError("functional: expected a JSON object of label -> rational")
-    return _schema("functional", lambda d: {str(k): frac_from_str(v) for k, v in d.items()}, data)
+        raise SchemaError(f"{what}: {exc}") from exc
 
 
 def _load(path: str, what: str, convert, **kwargs):
@@ -95,60 +79,68 @@ def _load(path: str, what: str, convert, **kwargs):
             text = fh.read()
     except (OSError, ValueError) as exc:
         raise SchemaError(f"{where}: cannot read: {exc}") from exc
-    return _schema(where, convert, _parse_json(text, where), **kwargs)
+    return _payload(text, where, convert, **kwargs)
 
 
 def _vertex_rows(ground, distinct, arrangements) -> list[dict]:
     # each distinct value is printed once; rank 0 is the largest value, so decreasing
     # rank tuples are the vertices in increasing lexicographic order of their values
-    text = [frac_to_str(v) for v in distinct]
+    text = [str(v) for v in distinct]
     return [dict(zip(ground, map(text.__getitem__, r))) for r in sorted(arrangements, reverse=True)]
 
 
 def cmd_classify(args) -> dict:
-    from .geometry import composition_of_point
+    from .geometry import Point, composition_of_point
 
-    p = _parse_point(args.point[0])
+    p = _payload(args.point[0], "point", Point.from_json)
     return {"composition": list(composition_of_point(p))}
 
 
 def cmd_vertices(args) -> dict:
-    from .geometry import _orbit_ranks
+    from .geometry import Point, _orbit_ranks
 
-    p = _parse_point(args.point[0])
+    p = _payload(args.point[0], "point", Point.from_json)
     return {"vertices": _vertex_rows(p.ground, *_orbit_ranks(p))}
 
 
 def cmd_maxface(args) -> dict:
-    from .geometry import _max_face_ranks
+    from .geometry import Point, _max_face_ranks
+    from .linear import frac_from_str
 
-    p = _parse_point(args.point[0])
-    y = _parse_functional(args.functional)
+    def functional(data) -> dict:
+        if not isinstance(data, dict):
+            raise ValueError("expected a JSON object of label -> rational")
+        return {str(k): frac_from_str(v) for k, v in data.items()}
+
+    p = _payload(args.point[0], "point", Point.from_json)
+    y = _payload(args.functional, "functional", functional)
     if set(y) != set(p.ground):
         raise SchemaError("functional: must be defined on exactly the point's labels")
     return {"vertices": _vertex_rows(p.ground, *_max_face_ranks(p, y))}
 
 
 def cmd_normeq(args) -> dict:
-    from .geometry import normally_equivalent
+    from .geometry import Point, normally_equivalent
 
-    p = _parse_point(args.point[0])
-    q = _parse_point(args.point[1])
+    p, q = (_payload(text, "point", Point.from_json) for text in args.point)
     return {"normally_equivalent": normally_equivalent(p, q)}
 
 
 def cmd_delta(args) -> dict:
     from .compositions import iterated_restrict, restrict_contract
 
-    alpha = _parse_composition(args.composition)
+    def integers(data) -> list:
+        if not isinstance(data, list) or any(not isinstance(s, int) or isinstance(s, bool) for s in data):
+            raise ValueError("expected a JSON array of integers")
+        return data
+
+    alpha = _payload(args.composition, "composition", Composition.from_json)
     if (args.size is None) == (args.sizes is None):
         raise SchemaError("delta: give exactly one of --size or --sizes")
     if args.size is not None:
         left, right = restrict_contract(alpha, args.size)
         return {"restricted": list(left), "contracted": list(right)}
-    sizes = _parse_json(args.sizes, "sizes")
-    if not isinstance(sizes, list) or any(not isinstance(s, int) or isinstance(s, bool) for s in sizes):
-        raise SchemaError("sizes: expected a JSON array of integers")
+    sizes = _payload(args.sizes, "sizes", integers)
     factors = iterated_restrict(alpha, sizes)
     return {"factors": [list(f) for f in factors]}
 
@@ -156,7 +148,7 @@ def cmd_delta(args) -> dict:
 def cmd_coproduct(args) -> dict:
     from .hopf_algebra import coproduct, inject
 
-    alpha = _parse_composition(args.composition)
+    alpha = _payload(args.composition, "composition", Composition.from_json)
     _check_degree_bound(alpha.weight)
     terms = coproduct(inject(alpha))
     ordered = sorted(
@@ -166,7 +158,7 @@ def cmd_coproduct(args) -> dict:
     return {
         "terms": [
             {
-                "coeff": frac_to_str(v),
+                "coeff": str(v),
                 "left": [list(a) for a in left],
                 "right": [list(a) for a in right],
             }
@@ -178,7 +170,7 @@ def cmd_coproduct(args) -> dict:
 def cmd_antipode(args) -> dict:
     from .hopf_algebra import HopfElement, antipode
 
-    x = _schema("element", HopfElement.from_json, _parse_json(args.element, "element"))
+    x = _payload(args.element, "element", HopfElement.from_json)
     _check_degree_bound(max((gm.degree for gm in x.coeffs), default=0))
     return {"element": antipode(x).to_json()}
 
@@ -186,7 +178,7 @@ def cmd_antipode(args) -> dict:
 def cmd_chi(args) -> dict:
     from .invariants import chi
 
-    alpha = _parse_composition(args.composition)
+    alpha = _payload(args.composition, "composition", Composition.from_json)
     return chi(alpha).to_json(monomial=args.monomial)
 
 

@@ -6,7 +6,9 @@ the two joining operations ``concat`` and ``near_concat`` are the two ways
 a composition can be cut in half at a given weight.
 
 ``Composition`` is a validated ``tuple`` subclass: it compares, orders and
-hashes exactly as the tuple of its parts.
+hashes exactly as the tuple of its parts.  In JSON a composition is an
+array of positive integers: ``Composition.from_json`` reads one, and
+``list(alpha)`` writes one.
 """
 
 from __future__ import annotations
@@ -50,6 +52,12 @@ class Composition(tuple):
     def __str__(self) -> str:
         # messages name a composition as the CLI reads it: [1, 2]
         return str(list(self))
+
+    @classmethod
+    def from_json(cls, data) -> "Composition":
+        if not isinstance(data, list) or any(not isinstance(p, int) or isinstance(p, bool) for p in data):
+            raise ValueError(f"a composition must be a JSON array of integers, got {data!r}")
+        return cls(data)
 
 
 EMPTY = Composition()

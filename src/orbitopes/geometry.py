@@ -37,12 +37,11 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, groupby, permutations, product, starmap
-from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .compositions import Composition, multinomial
-from .jsonio import frac_from_str, frac_to_str
+from .linear import frac_from_str, numerators
 
 # largest ground set, or set of tied labels, that the brute-force work accepts
 BRUTE_FORCE_BOUND = 8
@@ -176,7 +175,7 @@ class Point:
         return f"Point({inner})"
 
     def to_json(self) -> dict[str, str]:
-        return {l: frac_to_str(v) for l, v in zip(self.ground, self.values)}
+        return {l: str(v) for l, v in zip(self.ground, self.values)}
 
     @classmethod
     def from_json(cls, data) -> "Point":
@@ -346,7 +345,7 @@ def check_base_polytope(p: Point) -> bool:
     table.  Every orbit vertex must satisfy sum(x) = z(I) and sum over
     S <= z(S) for each proper nonempty S, and each such inequality must be
     attained with equality by some vertex.  The coordinates are scaled
-    once to integers by the lcm of their denominators, which preserves
+    once to integers by ``linear.numerators``, which preserves
     every comparison.  The maximum of each subset sum over all vertices
     comes from ``_max_subset_sums``, an exhaustive and exact maximization
     that never uses the closed form z(S) it is compared with; subsets are
@@ -355,8 +354,7 @@ def check_base_polytope(p: Point) -> bool:
     n = len(p.ground)
     _check_bound(n)
     values = sorted_values(p)
-    scale = lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    scaled = list(numerators(dict(enumerate(values)))[1].values())
     prefix = list(accumulate(scaled, initial=0))
     best = _max_subset_sums(scaled)
     # max over vertices must meet z(S) exactly: <= is validity, == is tightness;

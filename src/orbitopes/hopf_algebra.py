@@ -27,8 +27,7 @@ from math import comb
 from typing import Iterable, Mapping
 
 from .compositions import ONE, Composition, _integer, is_generator, splits
-from .jsonio import composition_from_json, frac_from_str, frac_to_str
-from .linear import Linear, combine, numerators
+from .linear import Linear, as_fraction, combine, frac_from_str, numerators
 
 
 class GeneratorMultiset(tuple):
@@ -106,7 +105,7 @@ class HopfElement(Linear):
     __slots__ = ()
 
     def __init__(self, coeffs: Mapping[GeneratorMultiset, Fraction] = ()):
-        self.coeffs = combine((GeneratorMultiset(k), Fraction(v)) for k, v in dict(coeffs).items())
+        self.coeffs = combine((GeneratorMultiset(k), as_fraction(v)) for k, v in dict(coeffs).items())
 
     @classmethod
     def unit(cls) -> "HopfElement":
@@ -131,7 +130,7 @@ class HopfElement(Linear):
     def to_json(self) -> list:
         ordered = sorted(self.coeffs.items(), key=lambda kv: (kv[0].degree, kv[0]))
         return [
-            {"coeff": frac_to_str(v), "multiset": [list(a) for a in k]}
+            {"coeff": str(v), "multiset": [list(a) for a in k]}
             for k, v in ordered
         ]
 
@@ -143,7 +142,7 @@ class HopfElement(Linear):
         for term in data:
             if not (isinstance(term, dict) and "coeff" in term and isinstance(term.get("multiset"), list)):
                 raise ValueError(f"malformed element term {term!r}")
-            gm = GeneratorMultiset(composition_from_json(a) for a in term["multiset"])
+            gm = GeneratorMultiset(Composition.from_json(a) for a in term["multiset"])
             if gm in coeffs:
                 raise ValueError(f"multiset {[list(a) for a in gm]} is given twice")
             coeffs[gm] = frac_from_str(term["coeff"])
@@ -160,7 +159,7 @@ class TensorElement(Linear):
     def __init__(self, coeffs: Mapping[tuple, Fraction] = (), arity: int = 2):
         arity = _arity(arity)
         coeffs = combine(
-            (tuple(map(GeneratorMultiset, k)), Fraction(v)) for k, v in dict(coeffs).items()
+            (tuple(map(GeneratorMultiset, k)), as_fraction(v)) for k, v in dict(coeffs).items()
         )
         for key in coeffs:
             if len(key) != arity:

@@ -25,7 +25,7 @@ from typing import Mapping
 
 from .compositions import Composition, multinomial, stirling_row
 from .hopf_monoid import OrbitClassElement, class_of, delta
-from .linear import Linear, numerators
+from .linear import Linear, as_fraction, numerators
 
 # largest composition weight ``chi`` accepts; its cost and output grow as weight^2
 CHI_MAX_WEIGHT = 200
@@ -38,7 +38,7 @@ class BinomialPolynomial(Linear):
 
     def __init__(self, coeffs: Mapping[int, Fraction] = ()):
         try:
-            coeffs = {index(k): Fraction(v) for k, v in dict(coeffs).items()}
+            coeffs = {index(k): as_fraction(v) for k, v in dict(coeffs).items()}
         except TypeError:
             raise ValueError(f"binomial-basis terms must map integers to rationals, got {coeffs!r}") from None
         if any(k < 0 for k in coeffs):

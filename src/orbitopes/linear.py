@@ -1,4 +1,4 @@
-"""Finitely supported rational linear combinations: the one sparse-vector core.
+"""Exact rationals: their JSON string form and the one sparse-vector core.
 
 An element is a dict ``coeffs`` from basis keys to nonzero ``Fraction``s.
 Kernels that sum many terms read such a dict once as integer numerators
@@ -7,13 +7,46 @@ once.  The Hopf algebra of compositions, its tensor powers, the ribbon series
 and the binomial-basis invariant all take their sum, difference, scalar
 multiple, equality and trusted constructor from ``Linear``; each keeps its
 own validating constructor, product, JSON and ``repr``.
+
+A rational travels in JSON as ``str`` of its ``Fraction``: "p/q" with q > 0
+and gcd(p, q) = 1, an integer without the "/1".  ``frac_from_str`` reads
+only that form, or a JSON integer.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
+
+# ASCII digits only: the pattern is matched before any integer is built
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def frac_from_str(s) -> Fraction:
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise ValueError(f"expected a rational string, got {s!r}")
+    if isinstance(s, int):
+        return Fraction(s)
+    if not _RATIONAL.fullmatch(s):
+        raise ValueError(f"malformed rational {s!r}")
+    p, _, q = s.partition("/")
+    try:
+        p, q = int(p), int(q or 1)
+    except ValueError:  # more digits than the interpreter converts
+        digits = max(len(p.lstrip("-")), len(q))
+        raise ValueError(
+            f"rational with a part of {digits} digits, more than int() converts"
+        ) from None
+    if q == 0 or gcd(p, q) != 1:
+        raise ValueError(f"malformed rational {s!r}: q must be positive and coprime to p")
+    return Fraction(p, q)
+
+
+def as_fraction(value) -> Fraction:
+    """``value`` as a ``Fraction``: a Fraction is immutable, so it is returned itself, not copied."""
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def combine(terms) -> dict:

@@ -49,25 +49,26 @@ def fresh(code: str) -> tuple[object, set[str]]:
     return result, set(mods)
 
 
-BASE = {"cli", "jsonio", "compositions"}
+BASE = {"cli", "compositions"}
 
 
-@pytest.mark.parametrize("argv, code, extra", [
-    (["count", "--n", "4"], 0, {"hopf_monoid"}),
-    (["delta", "--composition", "[2, 1, 3]", "--size", "2"], 0, set()),
-    (["classify", "--point", '{"a": "1", "b": "2"}'], 0, {"geometry"}),
-    (["coproduct", "--composition", "[2, 1]"], 0, {"hopf_algebra", "linear"}),
-    (["chi", "--composition", "[2, 1]"], 0, {"invariants", "hopf_monoid", "linear"}),
-    (["coproduct"], 2, set()),  # usage error: argparse refuses before any handler runs
+# rationals: whether the request imports ``fractions`` (and with it ``decimal`` and ``numbers``)
+@pytest.mark.parametrize("argv, code, extra, rationals", [
+    (["count", "--n", "4"], 0, {"hopf_monoid"}, False),
+    (["delta", "--composition", "[2, 1, 3]", "--size", "2"], 0, set(), False),
+    (["classify", "--point", '{"a": "1", "b": "2"}'], 0, {"geometry", "linear"}, True),
+    (["coproduct", "--composition", "[2, 1]"], 0, {"hopf_algebra", "linear"}, True),
+    (["chi", "--composition", "[2, 1]"], 0, {"invariants", "hopf_monoid", "linear"}, True),
+    (["coproduct"], 2, set(), False),  # usage error: argparse refuses before any handler runs
 ])
-def test_each_subcommand_loads_only_the_modules_it_uses(argv, code, extra):
+def test_each_subcommand_loads_only_the_modules_it_uses(argv, code, extra, rationals):
     result, mods = fresh(
-        "import contextlib, io\n"
+        "import contextlib, io, sys\n"
         "from orbitopes import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    result = cli.run({argv!r})\n"
+        f"    result = [cli.run({argv!r}), 'fractions' in sys.modules]\n"
     )
-    assert result == code
+    assert result == [code, rationals]
     assert mods == BASE | extra
 
 
@@ -98,6 +99,15 @@ def test_every_public_name_is_named_in_readme():
     # a name only tests call does not belong in the package's exports
     quoted = set(re.findall(r"`([^`]+)`", README.read_text(encoding="utf-8")))
     assert [name for name in orbitopes.__all__ if name not in quoted] == []
+
+
+def test_readme_layout_names_every_module():
+    # one row per module of the package, and no row for a module that is gone
+    text = README.read_text(encoding="utf-8")
+    layout = text.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `orbitopes\.(\w+)` \|", layout, re.MULTILINE))
+    modules = {path.stem for path in (SRC / "orbitopes").glob("*.py")} - {"__init__", "__main__"}
+    assert rows == modules
 
 
 def test_every_annotation_resolves():

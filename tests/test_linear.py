@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from orbitopes.characters import NSymSeries
+from orbitopes.characters import Character, NSymSeries
 from orbitopes.compositions import Composition
 from orbitopes.hopf_algebra import EMPTY_MULTISET, GeneratorMultiset, HopfElement, TensorElement
 from orbitopes.invariants import BinomialPolynomial
-from orbitopes.linear import Linear, combine, numerators
+from orbitopes.linear import Linear, as_fraction, combine, numerators
 
 C = Composition
 F = Fraction
@@ -101,3 +101,17 @@ def test_combine_sums_and_drops_zeros():
 def test_numerators_share_one_denominator():
     assert numerators({"a": F(1, 6), "b": F(-1, 4), "c": F(2)}) == (12, {"a": 2, "b": -3, "c": 24})
     assert numerators({}) == (1, {})
+
+
+def test_constructors_keep_a_fraction_without_copying_it():
+    # a Fraction is immutable, so each validating constructor stores the object it is given
+    q = F(2, 3)
+    assert as_fraction(q) is q and as_fraction(2) == 2 and type(as_fraction(2)) is F
+    stored = [
+        HopfElement({gm((1,)): q}).coeffs[gm((1,))],
+        TensorElement({(gm((1,)), EMPTY_MULTISET): q}).coeffs[(gm((1,)), EMPTY_MULTISET)],
+        BinomialPolynomial({3: q}).coeffs[3],
+        NSymSeries(4, {(2, 1): q}).coeffs[(2, 1)],
+        Character(4, {(1, 2): q}).values[(1, 2)],
+    ]
+    assert all(v is q for v in stored)
