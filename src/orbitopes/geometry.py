@@ -41,7 +41,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .compositions import Composition, multinomial
-from .linear import frac_from_str, numerators
+from .linear import as_fraction, frac_from_str, numerators
 
 # largest ground set, or set of tied labels, that the brute-force work accepts
 BRUTE_FORCE_BOUND = 8
@@ -128,12 +128,12 @@ class Point:
         if set(coords) != set(ground):
             raise ValueError("coordinates must be given for exactly the ground-set labels")
         self.ground = ground
-        self.values = tuple(Fraction(coords[l]) for l in ground)
+        self.values = tuple(as_fraction(coords[l]) for l in ground)
         self._hash = None
 
     @classmethod
     def from_values(cls, ground: GroundSet, values: Iterable[Fraction]) -> "Point":
-        values = tuple(map(Fraction, values))
+        values = tuple(map(as_fraction, values))
         if len(values) != len(ground):
             raise ValueError("coordinates must be given for exactly the ground-set labels")
         return cls._of(ground, values)
@@ -275,7 +275,7 @@ def _max_face_ranks(
         raise ValueError("functional must be defined on exactly the ground-set labels")
     # the level sets of y by decreasing value, each in ground order: the sort is stable,
     # and it groups equal values without hashing a Fraction
-    value = {label: Fraction(y[label]) for label in p.ground}
+    value = {label: as_fraction(y[label]) for label in p.ground}
     ordered = sorted(p.ground, key=value.__getitem__, reverse=True)
     levels = [tuple(run) for _, run in groupby(ordered, key=value.__getitem__)]
     # only labels sharing a level set with others are permuted, as in orbit_vertices

@@ -104,7 +104,7 @@ class Linear:
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = as_fraction(scalar)
         coeffs = {k: scalar * v for k, v in self.coeffs.items()} if scalar else {}
         return self._of(coeffs, self._grade_value())
 

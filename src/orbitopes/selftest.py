@@ -229,8 +229,8 @@ def suite_characters(count: int, degree: int) -> Iterator[bool]:
 def run_selftest(max_n: int = 5) -> dict:
     """Run every suite; sizes scale down from ``max_n`` where a suite is costly.
 
-    ``max_n`` must lie in 1..``geometry.BRUTE_FORCE_BOUND``: the splits
-    suite walks every composition of each n up to it.
+    ``max_n`` must lie in 1..``geometry.BRUTE_FORCE_BOUND``: the splits suite
+    and the chi recount (about 1 s at 8) walk every composition up to it.
     """
     max_n = _integer(max_n, "selftest max_n")
     bound = geometry.BRUTE_FORCE_BOUND
@@ -240,7 +240,7 @@ def run_selftest(max_n: int = 5) -> dict:
     suites = {
         "splits_reassembly": suite_splits(max_n),
         "delta_vs_geometry": suite_delta_geometry(min(max_n, 6)),
-        "chi_vs_bruteforce": suite_chi(small),
+        "chi_vs_bruteforce": suite_chi(max_n),
         "normal_equivalence_oracle": suite_normal_equivalence(min(small, 4)),
         "base_polytope": suite_base_polytope(25, small),
         "chamber_census": suite_chamber_census(25, small),

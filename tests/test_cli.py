@@ -548,6 +548,8 @@ def test_run_selftest_report():
     report = run_selftest(5)
     assert report == selftest_report([161, 683, 32, 85, 25, 25, 9, 10])
     assert report["passed"] == 1030
+    # the chi recount follows max_n past 5: all 64 compositions of weight <= 6
+    assert run_selftest(6) == selftest_report([385, 2731, 64, 85, 25, 25, 9, 10])
 
 
 def test_selftest_reports_a_raising_suite_and_runs_the_rest(capsys, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 from orbitopes.characters import Character, NSymSeries
 from orbitopes.compositions import Composition
+from orbitopes.geometry import Point, standard_ground
 from orbitopes.hopf_algebra import EMPTY_MULTISET, GeneratorMultiset, HopfElement, TensorElement
 from orbitopes.invariants import BinomialPolynomial
 from orbitopes.linear import Linear, as_fraction, combine, numerators
@@ -113,5 +114,7 @@ def test_constructors_keep_a_fraction_without_copying_it():
         BinomialPolynomial({3: q}).coeffs[3],
         NSymSeries(4, {(2, 1): q}).coeffs[(2, 1)],
         Character(4, {(1, 2): q}).values[(1, 2)],
+        Point(standard_ground(1), {"1": q}).values[0],
+        Point.from_values(standard_ground(1), [q]).values[0],
     ]
     assert all(v is q for v in stored)
