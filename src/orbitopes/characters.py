@@ -17,11 +17,17 @@ the work.  Both rest on one pair kernel: each pair of terms (beta, gamma)
 adds into the concatenation and near-concatenation of R_beta R_gamma.
 
 The kernel runs on integers.  Inside it a series is a list of rows, one
-per weight n: a positive denominator D_n and a dict from each composition
-of weight n to an integer numerator, so the coefficient on alpha is
-numerator / D_n.  A product row is summed over the lcm of the products of
-the input rows' denominators, an inverse row over c0 times that lcm;
-``Fraction`` appears only where a row is read from or written to a public
+per weight n.  A row holds a positive denominator D_n and two dicts keyed
+by the descent mask of each composition alpha of weight n, the int whose
+bit j - 1 is set iff a part of alpha ends at j < n: one dict maps the mask
+to an integer numerator, so the coefficient on alpha is numerator / D_n,
+and the other maps it to alpha itself.  A pair (beta, gamma) with
+|beta| = i lands on the near-concatenation's mask m_beta | m_gamma << i
+and on the concatenation's, which also has bit i - 1 set when 0 < i < n;
+so the kernel adds ints on int keys and builds each output composition
+once.  A product row is summed over the lcm of the products of the input
+rows' denominators, an inverse row over c0 times that lcm; ``Fraction``
+appears only where a row is read from or written to a public
 ``NSymSeries`` or ``Character``.
 """
 
@@ -118,6 +124,7 @@ class Character:
 
     def on_composition(self, alpha: Composition) -> Fraction:
         """Value on the class of a composition (weight up to the truncation degree)."""
+        alpha = Composition(alpha)
         if alpha.weight > self.degree:
             raise ValueError(f"|{alpha}| exceeds truncation degree {self.degree}")
         if not alpha:
@@ -162,7 +169,7 @@ class NSymSeries(Linear):
         return cls(degree, {EMPTY: Fraction(1)})
 
     def coefficient(self, alpha: Composition) -> Fraction:
-        return self.coeffs.get(alpha, Fraction(0))
+        return self.coeffs.get(Composition(alpha), Fraction(0))
 
     def __mul__(self, other: "NSymSeries") -> "NSymSeries":
         return series_mul(self, other)
@@ -182,22 +189,33 @@ class NSymSeries(Linear):
         return cls(*_from_json(data, _COEFFS))
 
 
-_Row = tuple[int, dict[Composition, int]]  # (D_n, numerators): coefficients numerator / D_n
+# (D_n, numerators, compositions), both dicts keyed by descent mask m:
+# the coefficient on compositions[m] is numerators[m] / D_n
+_Row = tuple[int, dict[int, int], dict[int, Composition]]
 
 
 def _rows(coeffs: Mapping[Composition, Fraction], degree: int) -> list[_Row]:
     """The coefficients of weight up to ``degree``, one row per weight over its own lcm."""
-    by_weight: list[dict[Composition, Fraction]] = [{} for _ in range(degree + 1)]
+    values: list[dict[int, Fraction]] = [{} for _ in range(degree + 1)]
+    comps: list[dict[int, Composition]] = [{} for _ in range(degree + 1)]
     for alpha, value in coeffs.items():
-        n = alpha.weight
+        # the descent mask: bit j - 1 is set iff a part ends at j < n = |alpha|;
+        # each part sets the bit of its start, and the shift drops the start 0
+        mask = n = 0
+        for part in alpha:
+            mask |= 1 << n
+            n += part
+            if n > degree:  # stop shifting: a term far above the degree would need a huge mask
+                break
         if n <= degree:
-            by_weight[n][alpha] = value
-    return [numerators(values) for values in by_weight]
+            values[n][mask >> 1] = value
+            comps[n][mask >> 1] = alpha
+    return [(*numerators(v), c) for v, c in zip(values, comps)]
 
 
 def _series(rows: list[_Row]) -> NSymSeries:
     return NSymSeries._of({
-        alpha: Fraction(num, den) for den, row in rows for alpha, num in row.items()
+        comps[mask]: Fraction(num, den) for den, row, comps in rows for mask, num in row.items()
     }, len(rows) - 1)
 
 
@@ -206,23 +224,36 @@ def _pair_row(left: list[_Row], right: list[_Row], n: int, first: int = 0) -> _R
 
     Only left weights from ``first`` on count, and only where both rows are
     nonempty; the row is over the lcm of the products of their denominators.
+    Each output composition is built once, by the first pair that reaches
+    its mask; the row's compositions may name masks whose numerators cancelled.
     """
-    active = [(left[i], right[n - i]) for i in range(first, n + 1)
+    active = [(i, left[i], right[n - i]) for i in range(first, n + 1)
               if left[i][1] and right[n - i][1]]
-    den = lcm(*(dl * dr for (dl, _), (dr, _) in active))
-    acc = {}
-    for (dl, nl), (dr, nr) in active:
+    den = lcm(*(dl * dr for _, (dl, _, _), (dr, _, _) in active))
+    acc: dict[int, int] = {}
+    comps: dict[int, Composition] = {}
+    for i, (dl, nl, cl), (dr, nr, cr) in active:
         scale = den // (dl * dr)
-        for beta, lb in nl.items():
+        bit = 1 << (i - 1) if 0 < i < n else 0
+        for mb, lb in nl.items():
             lb *= scale
-            for gamma, rg in nr.items():
+            for mg, rg in nr.items():
                 term = lb * rg
-                key = beta + gamma
-                acc[key] = acc.get(key, 0) + term
-                if beta and gamma:
-                    key = beta[:-1] + (beta[-1] + gamma[0],) + gamma[1:]
-                    acc[key] = acc.get(key, 0) + term
-    return den, {_piece(alpha): total for alpha, total in acc.items() if total}
+                key = mb | mg << i  # near-concatenation; the concatenation also sets ``bit``
+                if bit:
+                    if key in acc:
+                        acc[key] += term
+                    else:
+                        acc[key] = term
+                        beta, gamma = cl[mb], cr[mg]
+                        comps[key] = _piece(beta[:-1] + (beta[-1] + gamma[0],) + gamma[1:])
+                    key |= bit
+                if key in acc:
+                    acc[key] += term
+                else:
+                    acc[key] = term
+                    comps[key] = _piece(cl[mb] + cr[mg])
+    return den, {key: total for key, total in acc.items() if total}, comps
 
 
 def _product_rows(f: list[_Row], g: list[_Row]) -> list[_Row]:
@@ -232,17 +263,17 @@ def _product_rows(f: list[_Row], g: list[_Row]) -> list[_Row]:
 def _inverse_rows(f: list[_Row]) -> list[_Row]:
     # c0 = p / q with p > 0; weight n solves (f * inv)[alpha] = 0 from the weights below,
     # where the pairs with an empty left part contribute c0 * inv[alpha]
-    q, row = f[0]
-    p = row[EMPTY]
+    q, row, _ = f[0]
+    p = row[0]
     if p < 0:
         p, q = -p, -q
-    inv = [(p, {EMPTY: q})]
+    inv = [(p, {0: q}, {0: EMPTY})]
     for n in range(1, len(f)):
-        den, row = _pair_row(f, inv, n, 1)
+        den, row, comps = _pair_row(f, inv, n, 1)
         den *= p
-        row = {alpha: -q * num for alpha, num in row.items()}
+        row = {key: -q * num for key, num in row.items()}
         common = gcd(den, *row.values())
-        inv.append((den // common, {alpha: num // common for alpha, num in row.items()}))
+        inv.append((den // common, {key: num // common for key, num in row.items()}, comps))
     return inv
 
 
@@ -281,15 +312,17 @@ def _char_rows(zeta: Character, degree: int) -> list[_Row]:
     if c1:
         for n in range(2, degree + 1):
             realized[Composition((n,))] = c1 ** n
-    return [(den * factorial(n), nums) for n, (den, nums) in enumerate(_rows(realized, degree))]
+    return [(den * factorial(n), nums, comps)
+            for n, (den, nums, comps) in enumerate(_rows(realized, degree))]
 
 
 def _character(rows: list[_Row]) -> Character:
     """The character whose generator values are |beta|! times the rows' coefficients."""
     values = {}
-    for n, (den, row) in enumerate(rows):
+    for n, (den, row, comps) in enumerate(rows):
         fact = factorial(n)
-        for beta, num in row.items():
+        for key, num in row.items():
+            beta = comps[key]
             if is_generator(beta):
                 values[beta] = Fraction(fact * num, den)
     return Character._of(len(rows) - 1, values)

@@ -14,8 +14,9 @@ from orbitopes.characters import (
     series_inverse,
     series_mul,
     series_to_char,
+    _rows,
 )
-from orbitopes.compositions import Composition, compositions_of, is_generator
+from orbitopes.compositions import Composition, compositions_of, concat, is_generator, near_concat
 from orbitopes.selftest import random_character
 from oracles import convolve_value, cut_series_mul, pairwise_series_mul, ribbon_mul
 
@@ -212,6 +213,63 @@ def test_series_kernel_matches_pairwise_oracle():
             assert pairwise_series_mul(f, series_inverse(f)) == NSymSeries.unit(degree)
 
 
+def row_mask(alpha: Composition) -> int:
+    """The descent mask under which the kernel's row builder files ``alpha``."""
+    n = alpha.weight
+    _, nums, comps = _rows({alpha: F(1)}, n)[n]
+    (mask,) = nums
+    assert comps[mask] is alpha
+    return mask
+
+
+def test_descent_mask_bit_rule():
+    for n in range(9):
+        masks = {}
+        for alpha in compositions_of(n):
+            mask = row_mask(alpha)
+            # bit j - 1 marks a part ending at j < n: decoding the cuts gives alpha back
+            ends = [j for j in range(1, n) if mask >> (j - 1) & 1] + [n] * (n > 0)
+            assert tuple(b - a for a, b in zip([0] + ends, ends)) == alpha
+            masks[mask] = alpha
+        assert sorted(masks) == list(range(2 ** (n - 1) if n else 1))
+    for n in range(9):
+        for i in range(n + 1):
+            for beta in compositions_of(i):
+                for gamma in compositions_of(n - i):
+                    near = row_mask(beta) | row_mask(gamma) << i
+                    if 0 < i < n:
+                        assert row_mask(near_concat(beta, gamma)) == near
+                        assert row_mask(concat(beta, gamma)) == near | 1 << (i - 1)
+                    else:
+                        assert row_mask(concat(beta, gamma)) == near
+
+
+def test_kernel_masks_above_thirty_bits():
+    # weight-40 masks reach bit 38; the inverse stays sparse, as no term has weight below 13
+    f = NSymSeries(40, {C(()): F(-7, 3), C((13,)): F(1, 2), C((2, 15)): 3, C((20, 5)): F(-1, 4),
+                        C((31, 2)): 5, C((1, 38, 1)): F(2, 7)})
+    assert max(row_mask(alpha) for alpha in f.coeffs).bit_length() > 30
+    square = series_mul(f, f)
+    assert square == pairwise_series_mul(f, f)
+    assert max(row_mask(alpha) for alpha in square.coeffs).bit_length() > 30
+    inverse = series_inverse(f)
+    assert series_mul(f, inverse) == NSymSeries.unit(40) == pairwise_series_mul(inverse, f)
+
+
+def test_kernel_outputs_are_keyed_by_composition():
+    # a plain tuple key would compare and hash equal, but print differently in messages
+    rng = random.Random(20)
+    for degree in (1, 4, 6):
+        plain = {tuple(a): v for a, v in random_invertible_series(rng, degree, 0.6).coeffs.items()}
+        f = NSymSeries(degree, plain)
+        g = random_invertible_series(rng, degree, 0.3)
+        zeta, psi = random_character(rng, degree), Character.basic(degree)
+        for out in (series_mul(f, g), series_inverse(f), char_to_series(zeta)):
+            assert {type(k) for k in out.coeffs} <= {Composition}
+        for out in (convolve(zeta, psi), invert_character(zeta), convolve(psi, psi)):
+            assert {type(k) for k in out.values} <= {Composition}
+
+
 def test_sparse_square_at_degree_30():
     # 2^29 compositions of the top weight, but only 9 pairs of input terms
     f = NSymSeries(30, {C(()): 1, C((1,)): F(1, 2), C((29,)): 3})
@@ -220,6 +278,13 @@ def test_sparse_square_at_degree_30():
         C((1, 29)): F(3, 2), C((29, 1)): F(3, 2), C((30,)): 3,
     })
     assert series_mul(f, f) == expected == pairwise_series_mul(f, f)
+
+
+def test_convolve_skips_terms_above_the_degree():
+    # the generator (10^12 - 1, 1) lies far above degree 3; its mask would take 10^12 bits
+    heavy, basic = Character(10**12, {(10**12 - 1, 1): 1}), Character.basic(3)
+    assert convolve(heavy, basic) == convolve(Character.identity(3), basic)
+    assert convolve(basic, heavy) == convolve(basic, Character.identity(3))
 
 
 def assert_normalized(values):
@@ -350,6 +415,15 @@ def test_character_validation():
         with pytest.raises(ValueError) as info:
             make(degree, coeffs)
         assert str(info.value) == message, (make, degree, coeffs)
+    # lookups coerce plain tuples the same way, and refuse a non-composition
+    basic, f = Character.basic(3), NSymSeries(3, {(1, 2): F(1, 2)})
+    assert basic.on_composition((1, 2)) == 0 and basic.on_composition((3,)) == 1
+    assert basic.on_composition(()) == 1 and f.coefficient((1, 2)) == F(1, 2)
+    for lookup in (basic.on_composition, f.coefficient):
+        with pytest.raises(ValueError, match="positive"):
+            lookup((0, 1))
+        with pytest.raises(ValueError, match="integers"):
+            lookup((1.5,))
 
 
 def test_series_json_roundtrip():
