@@ -40,7 +40,9 @@ from typing import Mapping
 from .compositions import EMPTY, ONE, Composition, _piece, is_generator
 from .linear import Linear, as_fraction, frac_from_str, numerators
 
-DEFAULT_DEGREE = 6
+# the most terms an inverse may hold, its weight-0 term included: unlike a product's, its rows
+# are not limited by the input's pairs, and a dense one doubles with each weight, to 2^16 at degree 16
+_INVERSE_MAX_TERMS = 2 ** 16
 
 # JSON layout of each graded type: its array, the rational's key, and the nouns of its messages
 _VALUES = ("values", "value", "character", "value")
@@ -94,8 +96,7 @@ class Character:
     derived, never stored, so inconsistent states cannot be represented.
     """
 
-    def __init__(self, degree: int = DEFAULT_DEGREE,
-                 values: Mapping[Composition, Fraction] = ()):
+    def __init__(self, degree: int, values: Mapping[Composition, Fraction] = ()):
         # before _graded drops zeros: a zero on a non-generator is refused too
         values = {Composition(k): v for k, v in dict(values).items()}
         for alpha in values:
@@ -113,12 +114,12 @@ class Character:
         return self
 
     @classmethod
-    def identity(cls, degree: int = DEFAULT_DEGREE) -> "Character":
+    def identity(cls, degree: int) -> "Character":
         """The convolution unit: 1 on the empty class, 0 on every generator."""
         return cls(degree, {})
 
     @classmethod
-    def basic(cls, degree: int = DEFAULT_DEGREE) -> "Character":
+    def basic(cls, degree: int) -> "Character":
         """1 on points (one-part classes), 0 elsewhere."""
         return cls(degree, {ONE: Fraction(1)})
 
@@ -159,13 +160,12 @@ class NSymSeries(Linear):
     _grade = "degree"
     _mismatch = "truncation degrees differ"
 
-    def __init__(self, degree: int = DEFAULT_DEGREE,
-                 coeffs: Mapping[Composition, Fraction] = ()):
+    def __init__(self, degree: int, coeffs: Mapping[Composition, Fraction] = ()):
         self.coeffs = _graded(degree, coeffs, "coefficient on")
         self.degree = degree
 
     @classmethod
-    def unit(cls, degree: int = DEFAULT_DEGREE) -> "NSymSeries":
+    def unit(cls, degree: int) -> "NSymSeries":
         return cls(degree, {EMPTY: Fraction(1)})
 
     def coefficient(self, alpha: Composition) -> Fraction:
@@ -268,8 +268,12 @@ def _inverse_rows(f: list[_Row]) -> list[_Row]:
     if p < 0:
         p, q = -p, -q
     inv = [(p, {0: q}, {0: EMPTY})]
+    held = 1
     for n in range(1, len(f)):
         den, row, comps = _pair_row(f, inv, n, 1)
+        held += len(row)
+        if held > _INVERSE_MAX_TERMS:
+            raise ValueError(f"inverse bound exceeded: {held} terms by weight {n} > {_INVERSE_MAX_TERMS}")
         den *= p
         row = {key: -q * num for key, num in row.items()}
         common = gcd(den, *row.values())
@@ -288,7 +292,7 @@ def series_mul(f: NSymSeries, g: NSymSeries) -> NSymSeries:
 
 
 def series_inverse(f: NSymSeries) -> NSymSeries:
-    """Multiplicative inverse in increasing weight; needs a nonzero constant term."""
+    """Multiplicative inverse in increasing weight; needs a nonzero constant term and at most 2^16 terms."""
     if f.coefficient(EMPTY) == 0:
         raise ValueError("non-invertible series: constant coefficient is 0")
     return _series(_inverse_rows(_rows(f.coeffs, f.degree)))
@@ -347,5 +351,5 @@ def convolve(zeta: Character, psi: Character) -> Character:
 
 
 def invert_character(zeta: Character) -> Character:
-    """Convolution inverse: the realization of the inverse is the inverse series."""
+    """Convolution inverse: the realization of the inverse is the inverse series, bounded as there."""
     return _character(_inverse_rows(_char_rows(zeta, zeta.degree)))

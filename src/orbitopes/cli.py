@@ -105,18 +105,13 @@ def cmd_vertices(args) -> dict:
 
 def cmd_maxface(args) -> dict:
     from .geometry import Point, _max_face_ranks
-    from .linear import frac_from_str
 
-    def functional(data) -> dict:
-        if not isinstance(data, dict):
-            raise ValueError("expected a JSON object of label -> rational")
-        return {str(k): frac_from_str(v) for k, v in data.items()}
-
+    # a functional has a point's shape
     p = _payload(args.point[0], "point", Point.from_json)
-    y = _payload(args.functional, "functional", functional)
-    if set(y) != set(p.ground):
+    y = _payload(args.functional, "functional", Point.from_json)
+    if set(y.ground) != set(p.ground):
         raise SchemaError("functional: must be defined on exactly the point's labels")
-    return {"vertices": _vertex_rows(p.ground, *_max_face_ranks(p, y))}
+    return {"vertices": _vertex_rows(p.ground, *_max_face_ranks(p, dict(zip(y.ground, y.values))))}
 
 
 def cmd_normeq(args) -> dict:

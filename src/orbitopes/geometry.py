@@ -151,9 +151,6 @@ class Point:
     def __getitem__(self, label: str) -> Fraction:
         return self.values[self.ground.index(label)]
 
-    def coords(self) -> dict[str, Fraction]:
-        return dict(zip(self.ground, self.values))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Point)
@@ -180,7 +177,7 @@ class Point:
     @classmethod
     def from_json(cls, data) -> "Point":
         if not isinstance(data, dict):
-            raise ValueError(f"a point must be a JSON object, got {data!r}")
+            raise ValueError(f"expected a JSON object of label -> rational, got {data!r}")
         coords = {str(k): frac_from_str(v) for k, v in data.items()}
         return cls(GroundSet(data), coords)
 

@@ -48,10 +48,6 @@ class GeneratorMultiset(tuple):
         return self
 
     @property
-    def members(self) -> "GeneratorMultiset":
-        return self
-
-    @property
     def degree(self) -> int:
         return sum(alpha.weight for alpha in self)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .compositions import ONE, Composition, _integer, restrict_contract, stirling_row
+from .compositions import ONE, Composition, _integer, is_generator, restrict_contract, stirling_row
 
 Block = tuple[frozenset, Composition]
 
@@ -41,7 +41,7 @@ class OrbitClassElement:
             if covered & labels:
                 raise ValueError("blocks must be disjoint")
             covered |= labels
-            if len(comp) == 1 and comp.weight >= 2:
+            if comp and not is_generator(comp):
                 # a one-part class is a point: decompose into singleton blocks
                 canonical.update((frozenset([l]), ONE) for l in labels)
             elif labels:

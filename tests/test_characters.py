@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -94,7 +95,7 @@ def test_series_inverse_random():
 
 
 def test_in_group_G_examples():
-    assert in_group_G(char_to_series(Character.basic()))
+    assert in_group_G(char_to_series(Character.basic(6)))
     assert in_group_G(NSymSeries.unit(6))
     assert not in_group_G(NSymSeries.unit(6) + NSymSeries(6, {C((2,)): F(1)}))
 
@@ -125,8 +126,8 @@ def test_char_series_roundtrip():
 
 
 def test_convolve_examples():
-    basic = Character.basic()
-    eps = Character.identity()
+    basic = Character.basic(6)
+    eps = Character.identity(6)
     assert convolve(basic, eps) == basic
     assert convolve(eps, basic) == basic
 
@@ -165,11 +166,11 @@ def test_convolution_group_axioms():
 
 
 def test_invert_character_examples():
-    psi = invert_character(Character.basic())
+    psi = invert_character(Character.basic(6))
     assert psi.on_composition(C((1,))) == -1
     assert psi.on_composition(C((1, 1))) == 2
 
-    eps = Character.identity()
+    eps = Character.identity(6)
     assert invert_character(eps) == eps
 
 
@@ -278,6 +279,18 @@ def test_sparse_square_at_degree_30():
         C((1, 29)): F(3, 2), C((29, 1)): F(3, 2), C((30,)): 3,
     })
     assert series_mul(f, f) == expected == pairwise_series_mul(f, f)
+
+
+def test_inverse_term_bound():
+    # a (1) term makes the inverse dense, 2^(n - 1) terms at weight n: 2^16 through degree 16
+    assert len(series_inverse(NSymSeries(16, {C(()): 1, C((1,)): F(1, 2)})).coeffs) == 2 ** 16
+    message = r"^inverse bound exceeded: 131072 terms by weight 17 > 65536$"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        series_inverse(NSymSeries(30, {C(()): 1, C((1,)): F(1, 2), C((29,)): 3}))
+    assert time.perf_counter() - start < 2
+    with pytest.raises(ValueError, match=message):
+        invert_character(Character.basic(30))
 
 
 def test_convolve_skips_terms_above_the_degree():

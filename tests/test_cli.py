@@ -170,6 +170,13 @@ def test_repeated_flag_count(tmp_path, capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# a payload that is not a JSON object gets the one shape-neutral message of the point reader
+NOT_AN_OBJECT = {
+    "[1]": "error: functional: expected a JSON object of label -> rational, got [1]\n",
+    "[1,2]": "error: point: expected a JSON object of label -> rational, got [1, 2]\n",
+}
+
+
 @pytest.mark.parametrize("argv, field", [
     (["maxface", "--point", P1, "--functional", "[1]"], "functional"),
     (["maxface", "--point", P1, "--functional", '{"a":"x","b":"1"}'], "functional"),
@@ -196,6 +203,8 @@ def test_schema_error_names_its_field(tmp_path, capsys, argv, field):
     if field in ("char", "series"):
         field = f"{field} {paths[argv[2]]}"
     assert code == 2 and out == "" and err.startswith(f"error: {field}:"), err
+    if argv[-1] in NOT_AN_OBJECT:
+        assert err == NOT_AN_OBJECT[argv[-1]]
 
 
 def test_delta_single_and_iterated(capsys):

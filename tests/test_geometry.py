@@ -401,7 +401,7 @@ def test_face_decomposition_matches_max_face_product():
         assembled = set()
         for v in orbit_vertices(q):
             for w in orbit_vertices(q_prime):
-                coords = {**v.coords(), **w.coords()}
+                coords = {l: u[l] for u in (v, w) for l in u.ground}
                 assembled.add(Point(p.ground, coords))
         assert face == assembled
 

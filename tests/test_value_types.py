@@ -78,7 +78,7 @@ def test_generator_multiset_members_come_out_sorted():
 
 def test_named_fields_yield_the_items():
     assert tuple(C((1, 2)).parts) == (1, 2)
-    assert list(GM([C((2, 1)), C((1,))]).members) == [C((1,)), C((2, 1))]
+    assert list(GM([C((2, 1)), C((1,))])) == [C((1,)), C((2, 1))]
     assert tuple(GroundSet(("b", "a", "c")).labels) == ("b", "a", "c")
     assert tuple(GroundSet(("b", "a", "c")).restricted({"c", "b"})) == ("b", "c")
 
