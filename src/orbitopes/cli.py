@@ -111,7 +111,7 @@ def cmd_maxface(args) -> dict:
     y = _payload(args.functional, "functional", Point.from_json)
     if set(y.ground) != set(p.ground):
         raise SchemaError("functional: must be defined on exactly the point's labels")
-    return {"vertices": _vertex_rows(p.ground, *_max_face_ranks(p, dict(zip(y.ground, y.values))))}
+    return {"vertices": _vertex_rows(p.ground, *_max_face_ranks(p, y))}
 
 
 def cmd_normeq(args) -> dict:

@@ -155,6 +155,7 @@ def compositions_of(n: int) -> tuple[Composition, ...]:
 
 def multinomial(n: int, gamma: Composition) -> int:
     """n! / (gamma_1! ... gamma_k!), exact."""
+    n = _integer(n, "n")
     if gamma.weight != n:
         raise ValueError(f"{gamma} is not a composition of {n}")
     result = math.factorial(n)
@@ -163,10 +164,18 @@ def multinomial(n: int, gamma: Composition) -> int:
     return result
 
 
+def stirling_step(row: list[int]) -> list[int]:
+    """S(m, k) for k = 0..m, from the row S(m - 1, k) for k = 0..m - 1; ``row`` is not changed."""
+    # S(m, k) = k S(m - 1, k) + S(m - 1, k - 1)
+    return [0] + [k * s + t for k, (s, t) in enumerate(zip(row[1:] + [0], row), start=1)]
+
+
 def stirling_row(m: int) -> list[int]:
     """S(m, k) for k = 0..m: the set partitions of m labels into k blocks."""
+    m = _integer(m, "m")
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     row = [1]  # S(0, 0)
     for _ in range(m):
-        # S(m, k) = k S(m - 1, k) + S(m - 1, k - 1)
-        row = [0] + [k * s + t for k, (s, t) in enumerate(zip(row[1:] + [0], row), start=1)]
+        row = stirling_step(row)
     return row

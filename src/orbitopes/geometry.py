@@ -149,7 +149,10 @@ class Point:
         return self
 
     def __getitem__(self, label: str) -> Fraction:
-        return self.values[self.ground.index(label)]
+        try:
+            return self.values[self.ground.index(label)]
+        except ValueError:
+            raise KeyError(label) from None
 
     def __eq__(self, other) -> bool:
         return (
@@ -265,9 +268,11 @@ def orbit_vertices(p: Point) -> set[Point]:
 
 
 def _max_face_ranks(
-    p: Point, y: Mapping[str, Fraction]
+    p: Point, y: Mapping[str, Fraction] | Point
 ) -> tuple[list[Fraction], Iterable[tuple[int, ...]]]:
     """The distinct coordinates of p, decreasing, and each maximizer of y as ranks into them."""
+    if isinstance(y, Point):
+        y = dict(zip(y.ground, y.values))
     if set(y) != set(p.ground):
         raise ValueError("functional must be defined on exactly the ground-set labels")
     # the level sets of y by decreasing value, each in ground order: the sort is stable,
@@ -284,8 +289,10 @@ def _max_face_ranks(
     return _block_ranks(p, levels)
 
 
-def max_face_vertices(p: Point, y: Mapping[str, Fraction]) -> set[Point]:
+def max_face_vertices(p: Point, y: Mapping[str, Fraction] | Point) -> set[Point]:
     """Vertices of the orbit polytope of p on which the functional y is maximal.
+
+    y maps each label to a rational; a ``Point`` is read as its label -> value map.
 
     The maximizers place the largest |S_1| coordinates in the top level set
     S_1 of y, the next largest in S_2, and so on, in every arrangement

@@ -86,11 +86,12 @@ def _tensor_times(x: dict, y: dict) -> dict:
 
 def _scaled(coeffs: dict, image) -> dict:
     """Sum of v * image(key) over the terms of ``coeffs``, where ``image`` gives int dicts."""
-    den, nums = numerators(coeffs)
-    if len(nums) == 1:
+    if len(coeffs) == 1:
         # one image: its keys are distinct and its values nonzero, so nothing combines
-        [(key, num)] = nums.items()
+        [(key, v)] = coeffs.items()
+        num, den = v.numerator, v.denominator
         return {out: Fraction(num * w, den) for out, w in image(key).items()}
+    den, nums = numerators(coeffs)
     summed = combine((out, num * w) for key, num in nums.items() for out, w in image(key).items())
     return {out: Fraction(num, den) for out, num in summed.items()}
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .compositions import ONE, Composition, _integer, is_generator, restrict_contract, stirling_row
+from .compositions import ONE, Composition, _integer, is_generator, restrict_contract, stirling_step
 
 Block = tuple[frozenset, Composition]
 
@@ -116,6 +116,11 @@ def delta(x: OrbitClassElement, S: Iterable[str]) -> tuple[OrbitClassElement, Or
 # largest n ``count_structures`` accepts; the Stirling row costs about n^2 big-integer steps
 COUNT_MAX_N = 1000
 
+# (m, S(m, k) for k = 0..m) for the largest m = n + 1 read so far: at most COUNT_MAX_N + 2
+# ints, so a process asking for increasing n pays O(n^2) in all, not per call.  The pair is
+# replaced whole and its list never changed or handed out.
+_row = (0, [1])
+
 
 def count_structures(n: int) -> int:
     """Number of elements over n labels: set partitions weighted by per-block class counts.
@@ -123,14 +128,21 @@ def count_structures(n: int) -> int:
     Closed form: n! [t^n] exp((e^t - 1)^2 / 2 + t) = sum over j of (2j - 1)!! S(n + 1, 2j + 1),
     because e^t (e^t - 1)^m / m! generates the Stirling numbers S(n + 1, m + 1) and
     exp(u^2 / 2) = sum over j of (2j - 1)!! u^(2j) / (2j)!.  The numbers S(n + 1, k) are
-    read from one ``compositions.stirling_row``.
+    stepped by ``compositions.stirling_step`` from the longest row kept so far when it is
+    shorter, and from S(0, 0) when it is longer.
     """
+    global _row
     n = _integer(n, "n")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > COUNT_MAX_N:
         raise ValueError(f"count bound exceeded: n = {n} > {COUNT_MAX_N}")
-    row = stirling_row(n + 1)
+    kept = _row  # one read: a concurrent caller may replace the pair meanwhile
+    m, row = kept if kept[0] <= n + 1 else (0, [1])
+    for _ in range(m, n + 1):
+        row = stirling_step(row)
+    if kept[0] < n + 1:
+        _row = (n + 1, row)
     total, double_factorial = 0, 1
     for j in range(len(row) // 2):
         total += double_factorial * row[2 * j + 1]

@@ -13,6 +13,8 @@ from orbitopes.compositions import (
     near_concat,
     restrict_contract,
     splits,
+    stirling_row,
+    stirling_step,
 )
 from oracles import brute_force_splits, refinements
 
@@ -224,6 +226,26 @@ def test_multinomial_examples():
     assert multinomial(4, C((1, 1, 1, 1))) == 24
     with pytest.raises(ValueError):
         multinomial(5, C((1, 2, 1)))
+    # n is read as restrict_contract reads a cut weight: an integer-like passes
+    assert multinomial(True, C((1,))) == 1
+    for wrong in (1.0, "1", None):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            multinomial(wrong, C((1,)))
+
+
+def test_stirling_row_is_its_steps_and_refuses_a_bad_m():
+    row = [1]
+    for m in range(1, 12):
+        step = stirling_step(row)
+        assert row == stirling_row(m - 1)  # the step leaves its input as it was
+        row = step
+        assert row == stirling_row(m)
+    assert stirling_row(4) == [0, 1, 7, 6, 1]
+    with pytest.raises(ValueError, match="^m must be nonnegative$"):
+        stirling_row(-2)
+    for wrong in (2.5, "3", None):
+        with pytest.raises(ValueError, match="^m must be an integer"):
+            stirling_row(wrong)
 
 
 def test_multinomial_stays_exact_beyond_machine_words():

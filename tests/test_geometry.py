@@ -71,6 +71,8 @@ def test_point_validation():
             Point.from_values(g, values)
     p = pt(1, 2)
     assert p["2"] == 2
+    with pytest.raises(KeyError, match="^'z'$"):
+        p["z"]
     assert Point.from_json(p.to_json()) == p
 
 
@@ -219,6 +221,8 @@ def test_max_face_example_from_worked_case():
     p = pt(2, 2, 1, 0)
     y = dict(zip(p.ground.labels, [F(1), F(0), F(1), F(1)]))
     assert max_face_vertices(p, y) == {pt(1, 0, 2, 2), pt(2, 0, 1, 2), pt(2, 0, 2, 1)}
+    # a functional given as a Point reads as its label -> value map
+    assert max_face_vertices(p, pt(1, 0, 1, 1)) == max_face_vertices(p, y)
 
 
 def test_max_face_constant_functional_gives_all_vertices():

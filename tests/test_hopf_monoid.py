@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from orbitopes import hopf_monoid
 from orbitopes.compositions import Composition, compositions_of, stirling_row
 from orbitopes.geometry import standard_ground, subsets
 from orbitopes.hopf_monoid import (
@@ -226,6 +227,21 @@ def test_count_structures_matches_direct_partition_sum():
 def test_count_structures_matches_stirling_closed_form():
     for n in [600, 300, *range(61)]:
         assert count_structures(n) == recurrence_count(n), n
+
+
+def test_count_structures_keeps_the_longest_row_read(monkeypatch):
+    monkeypatch.setattr(hopf_monoid, "_row", (0, [1]))
+    largest = -1
+    for n in [7, 3, 40, 12, 40, 0, 41, 1]:
+        assert count_structures(n) == recurrence_count(n), n
+        largest = max(largest, n)
+        assert hopf_monoid._row[0] == largest + 1
+        assert hopf_monoid._row[1] == stirling_row(largest + 1)
+    kept = hopf_monoid._row
+    for refused in (-1, COUNT_MAX_N + 1, "3", 2.0):
+        with pytest.raises(ValueError):
+            count_structures(refused)
+        assert hopf_monoid._row is kept
 
 
 def test_count_structures_matches_egf_expansion():

@@ -13,7 +13,7 @@ GM = GeneratorMultiset
 
 SAMPLES = [
     (C((1, 2)), "parts"),
-    (GM([C((2, 1)), C((1,))]), "members"),
+    (GM([C((2, 1)), C((1,))]), "degree"),
     (GroundSet(("b", "a", "c")), "labels"),
 ]
 
