@@ -4,15 +4,21 @@
 Usage: python3 scripts/bench_pairs.py --parent DIR --workload NAME --pairs N --out FILE [--seed S]
 
 DIR is a checkout of the parent, prepared beforehand; the change is the
-checkout holding this script.  Both sides first lose every ``__pycache__``
-directory under ``src`` and ``perfbench``, and every run is made with
+checkout holding this script.  Neither is run where it lies: each side's
+``src``, ``perfbench`` and ``BENCHMARK.json`` are first copied, without
+``__pycache__`` directories or ``perfbench/.work``, into its own fresh
+directory, ``parent`` or ``change``, of one temporary directory that is
+removed at the end.  The two sides then run from directories of the same
+shape: a CLI request started as ``python -c`` puts its directory first on
+``sys.path``, and a git checkout with more entries than a plain copy reads
+1-3% slower on every request whatever the code.  Every run is made with
 PYTHONDONTWRITEBYTECODE=1 and no PYTHONPATH, so that each run compiles
-from source every module it imports, as a run in a fresh checkout does,
-and neither side reads stale ``.pyc`` files.  Pair i runs
+from source every module it imports, as a run in a fresh checkout does.
+Pair i runs
 
     python3 perfbench/run.py --workload NAME --seed S+i --seconds 32 --trace 0
 
-once in each checkout, one run at a time, the parent first for odd seeds
+once in each copy, one run at a time, the parent first for odd seeds
 and the change first for even ones.  FILE gets, per workload, every run's
 end-to-end metrics and a summary of each metric named in the change's
 BENCHMARK.json: the value of each pair, both medians and quartiles, the
@@ -30,6 +36,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,10 +88,14 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return summary
 
 
-def remove_bytecode(checkout: Path) -> None:
+def plain_copy(checkout: Path, dest: Path) -> Path:
+    """Copy what a benchmark run reads of ``checkout`` into a new directory ``dest``."""
+    dest.mkdir()
     for top in ("src", "perfbench"):
-        for cache in sorted((checkout / top).rglob("__pycache__")):
-            shutil.rmtree(cache)
+        shutil.copytree(checkout / top, dest / top,
+                        ignore=shutil.ignore_patterns("__pycache__", ".work"))
+    shutil.copy(checkout / "BENCHMARK.json", dest / "BENCHMARK.json")
+    return dest
 
 
 def run_once(checkout: Path, workload: str, seed: int, env: dict) -> dict:
@@ -115,30 +126,31 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be positive, got {args.pairs}")
-    sides = {"parent": args.parent.resolve(), "change": ROOT}
-    if not (sides["parent"] / "perfbench" / "run.py").is_file():
-        parser.error(f"--parent {sides['parent']} holds no perfbench/run.py")
+    parent = args.parent.resolve()
+    if not (parent / "perfbench" / "run.py").is_file():
+        parser.error(f"--parent {parent} holds no perfbench/run.py")
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    for checkout in sides.values():
-        remove_bytecode(checkout)
-
     pairs = []
-    for seed in range(args.seed, args.seed + args.pairs):
-        order = ("parent", "change") if seed % 2 else ("change", "parent")
-        pair = {"seed": seed}
-        for side in order:
-            pair[side] = run_once(sides[side], args.workload, seed, env)
-        pairs.append(pair)
-        print(f"{args.workload} seed {seed}: " + "  ".join(
-            f"{m['name']} {pair['parent'][m['name']]:.4g} -> {pair['change'][m['name']]:.4g}"
-            for m in end_to_end), flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        sides = {"parent": plain_copy(parent, Path(tmp) / "parent"),
+                 "change": plain_copy(ROOT, Path(tmp) / "change")}
+        for seed in range(args.seed, args.seed + args.pairs):
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            pair = {"seed": seed}
+            for side in order:
+                pair[side] = run_once(sides[side], args.workload, seed, env)
+            pairs.append(pair)
+            print(f"{args.workload} seed {seed}: " + "  ".join(
+                f"{m['name']} {pair['parent'][m['name']]:.4g} -> {pair['change'][m['name']]:.4g}"
+                for m in end_to_end), flush=True)
 
     out = json.loads(args.out.read_text()) if args.out.exists() else {}
     out["command"] = (f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} "
-                      "--trace 0, parent first for odd seeds, change first for even seeds")
+                      "--trace 0 in plain copies of src, perfbench and BENCHMARK.json, "
+                      "parent first for odd seeds, change first for even seeds")
     out["host"] = {"python": platform.python_version(), "nproc": os.cpu_count(),
                    "machine": platform.machine()}
     out.setdefault("summary", {})[args.workload] = summarize(pairs, end_to_end)

@@ -92,6 +92,23 @@ def near_concat(beta: Composition, gamma: Composition) -> Composition:
     return Composition(beta[:-1] + (beta[-1] + gamma[0],) + gamma[1:])
 
 
+def _cuts(alpha: Composition, lo: int, hi: int):
+    """The cuts of ``alpha`` at weights lo..hi - 1, in order, in one walk over its parts."""
+    acc = 0  # the weight of the parts before part j
+    for j, part in enumerate(alpha):
+        end = acc + part
+        if end > lo:  # part j holds the cut at acc, between parts, and the cuts splitting it
+            if acc >= hi:
+                return
+            if acc >= lo:
+                yield _piece(alpha[:j]), _piece(alpha[j:])
+            for i in range(max(acc + 1, lo), min(end, hi)):
+                yield _piece(alpha[:j] + (i - acc,)), _piece((end - i,) + alpha[j + 1:])
+        acc = end
+    if lo <= acc < hi:
+        yield alpha, EMPTY
+
+
 def restrict_contract(alpha: Composition, i: int) -> tuple[Composition, Composition]:
     """Cut ``alpha`` after total weight ``i`` into the unique (beta, gamma), beta of
     weight i, that concat (a cut between parts) or near_concat (a cut through a
@@ -101,18 +118,9 @@ def restrict_contract(alpha: Composition, i: int) -> tuple[Composition, Composit
     single cut of a composition such as (10**9,) stays cheap.
     """
     i = _integer(i, "cut weight")
-    acc = 0  # the weight of the parts before part j
-    # one pass also checks the range: a negative weight walks no part, and acc ends at |alpha|
-    for j, part in enumerate(alpha if i >= 0 else ()):
-        if acc == i:
-            return _piece(alpha[:j]), _piece(alpha[j:])
-        if acc + part > i:
-            # the cut falls inside part j, splitting it in two
-            return _piece(alpha[:j] + (i - acc,)), _piece((acc + part - i,) + alpha[j + 1:])
-        acc += part
-    if acc != i:
-        raise ValueError(f"cut weight {i} out of range for {alpha}")
-    return alpha, EMPTY
+    for cut in _cuts(alpha, i, i + 1):
+        return cut
+    raise ValueError(f"cut weight {i} out of range for {alpha}")
 
 
 def iterated_restrict(alpha: Composition, sizes: Sequence[int]) -> list[Composition]:
@@ -135,8 +143,8 @@ def iterated_restrict(alpha: Composition, sizes: Sequence[int]) -> list[Composit
 
 
 def splits(alpha: Composition) -> tuple[tuple[Composition, Composition], ...]:
-    """All cuts of ``alpha``: restrict_contract(alpha, i) for i = 0..|alpha|."""
-    return tuple(restrict_contract(alpha, i) for i in range(alpha.weight + 1))
+    """All cuts of ``alpha``: restrict_contract(alpha, i) for i = 0..|alpha|, in one walk."""
+    return tuple(_cuts(alpha, 0, alpha.weight + 1))
 
 
 def compositions_of(n: int) -> tuple[Composition, ...]:

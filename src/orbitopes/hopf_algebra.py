@@ -10,13 +10,15 @@ quotient.
 The coproduct of a generator sums over all cuts of the composition,
 weighted by the binomial coefficient of the cut weight; it extends to
 multisets as an algebra map and to arbitrary elements linearly.  The
-antipode of a generator is solved from that generator's coproduct, by
-m(S (x) id)Delta = counit, and extends multiplicatively, since the algebra
-is commutative.  Both maps are cached only on basis multisets, in bounded
-caches of plain dicts with integer coefficients: the structure constants
-are binomial coefficients and their signed sums.  The public maps read
-their input as integer numerators over one denominator, sum integers, and
-build each output coefficient once as a ``Fraction``.
+antipode of a generator is solved from the cached coproduct entry that
+``coproduct`` also reads, by m(S (x) id)Delta = counit, and extends
+multiplicatively, since the algebra is commutative; k copies of (1), the
+first generator, only prefix S(rest) with the sign (-1)^k.  Both maps are
+cached only on basis multisets, in bounded caches of plain dicts with
+integer coefficients: the structure constants are binomial coefficients
+and their signed sums.  The public maps read their input as integer
+numerators over one denominator, sum integers, and build each output
+coefficient once as a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -210,7 +212,7 @@ def product(x: HopfElement, y: HopfElement) -> HopfElement:
 def _coproduct_generator(alpha: Composition) -> dict[tuple, int]:
     # one term per cut; the left degrees differ, so the keys are distinct
     n = alpha.weight
-    return {(_class(beta), _class(gamma)): comb(n, beta.weight) for beta, gamma in splits(alpha)}
+    return {(_class(beta), _class(gamma)): comb(n, i) for i, (beta, gamma) in enumerate(splits(alpha))}
 
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
@@ -245,6 +247,11 @@ def counit(x: HopfElement) -> Fraction:
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _antipode_basis(gm: GeneratorMultiset) -> dict[GeneratorMultiset, int]:
+    ones = gm.count(ONE)
+    if ones:
+        # S((1)) = -(1) and (1) sorts first: k copies prefix each sorted key of S(rest), sign (-1)^k
+        rest = _antipode_basis(tuple.__new__(GeneratorMultiset, gm[ones:]))
+        return {tuple.__new__(GeneratorMultiset, gm[:ones] + key): (-1) ** ones * v for key, v in rest.items()}
     if not gm:
         return {EMPTY_MULTISET: 1}
     if len(gm) > 1:
@@ -253,7 +260,7 @@ def _antipode_basis(gm: GeneratorMultiset) -> dict[GeneratorMultiset, int]:
     # m(S (x) id)Delta(alpha) = 0: every term but alpha (x) empty has lower left degree
     return combine(
         (left.union(right), -c * v)
-        for (top, right), c in _coproduct_generator(gm[0]).items() if top != gm
+        for (top, right), c in _coproduct_basis(gm).items() if top != gm
         for left, v in _antipode_basis(top).items()
     )
 

@@ -102,14 +102,23 @@ def test_restrict_contract_examples():
 
 
 def test_restrict_contract_reads_splits():
-    for alpha in compositions_up_to(7):
+    # splits and restrict_contract share one walk over the parts
+    for alpha in compositions_up_to(8):
         cuts = splits(alpha)
+        assert len(cuts) == alpha.weight + 1
         for i in range(alpha.weight + 1):
-            assert restrict_contract(alpha, i) == cuts[i]
-            assert all(type(piece) is Composition for piece in cuts[i])
+            cut = restrict_contract(alpha, i)
+            assert cut == cuts[i]
+            assert all(type(piece) is Composition for piece in cut + cuts[i])
         for i in (-1, alpha.weight + 1):
             with pytest.raises(ValueError, match="out of range"):
                 restrict_contract(alpha, i)
+    # one cut of a huge part walks one part, not the 10**9 cuts inside it
+    big = C((10**9,))
+    assert restrict_contract(big, 5) == (C((5,)), C((10**9 - 5,)))
+    assert restrict_contract(big, 0) == (EMPTY, big) and restrict_contract(big, 10**9) == (big, EMPTY)
+    with pytest.raises(ValueError, match="out of range"):
+        restrict_contract(big, 10**9 + 1)
 
 
 def test_iterated_restrict_examples():

@@ -218,6 +218,33 @@ def test_antipode_matches_recursion_and_is_multiplicative():
         assert antipode(x * y) == antipode(x) * antipode(y)
 
 
+def test_cold_antipode_matches_recursion_in_either_order():
+    # the (1)^k prefix path and the generator solve each fill the cold caches first;
+    # the oracle, which fills the coproduct cache too, runs after the whole pass
+    pool = partition_multisets(7)
+    with_one = [m for m in pool if C((1,)) in m]
+    without = [m for m in pool if C((1,)) not in m]
+    assert with_one and without
+    for order in (with_one + without, without + with_one):
+        _antipode_basis.cache_clear()
+        _coproduct_basis.cache_clear()
+        got = [antipode(HopfElement.basis(basis)) for basis in order]
+        for basis, image in zip(order, got):
+            assert image == recursive_antipode(HopfElement.basis(basis)), basis
+            _assert_trusted(image.coeffs)
+
+
+def test_antipode_and_coproduct_share_one_entry_per_generator():
+    for alpha in (C((2, 1)), C((1, 2, 1)), C((3, 1, 2))):
+        _antipode_basis.cache_clear()
+        _coproduct_basis.cache_clear()
+        antipode(inject(alpha))
+        before = _coproduct_basis.cache_info()
+        coproduct(inject(alpha))
+        after = _coproduct_basis.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0), alpha
+
+
 def test_antipode_matches_face_formula():
     generators = [alpha for n in range(1, 9) for alpha in compositions_of(n) if is_generator(alpha)]
     assert len(generators) == 248

@@ -48,14 +48,19 @@ def test_bench_pairs_summary_on_synthetic_runs():
         assert summary["ok_ratio"]["within_bound"]
 
 
-def test_bench_pairs_removes_the_bytecode_of_src_and_perfbench(tmp_path):
+def test_bench_pairs_copies_src_perfbench_and_benchmark_without_bytecode(tmp_path):
     bench_pairs = load_script("bench_pairs.py")
-    kept = ["src/orbitopes/cli.py", "perfbench/run.py", "tests/__pycache__/t.cpython-311.pyc"]
-    removed = ["src/orbitopes/__pycache__/cli.cpython-311.pyc", "perfbench/__pycache__/run.cpython-311.pyc",
-               "src/orbitopes/sub/__pycache__/m.cpython-311.pyc"]
-    for name in kept + removed:
-        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / name).write_text("")
-    bench_pairs.remove_bytecode(tmp_path)
-    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()) == sorted(kept)
-    assert not any(tmp_path.glob("src/**/__pycache__")) and not (tmp_path / "perfbench/__pycache__").exists()
+    checkout = tmp_path / "checkout"
+    copied = ["BENCHMARK.json", "src/orbitopes/cli.py", "src/orbitopes/sub/m.py", "perfbench/run.py"]
+    left = ["README.md", "tests/test_cli.py", ".git/HEAD", "src/orbitopes/__pycache__/cli.cpython-311.pyc",
+            "perfbench/__pycache__/run.cpython-311.pyc", "src/orbitopes/sub/__pycache__/m.cpython-311.pyc",
+            "perfbench/.work/cli-1/request.json"]
+    for name in copied + left:
+        (checkout / name).parent.mkdir(parents=True, exist_ok=True)
+        (checkout / name).write_text(name)
+    dest = bench_pairs.plain_copy(checkout, tmp_path / "change")
+    assert dest == tmp_path / "change"
+    assert sorted(p.name for p in dest.iterdir()) == ["BENCHMARK.json", "perfbench", "src"]
+    files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert files == sorted(copied)
+    assert all((dest / name).read_text() == name for name in copied)
