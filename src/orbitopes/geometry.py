@@ -415,9 +415,6 @@ def face_decomposition(p: Point, S: Iterable[str]) -> tuple[Point, Point]:
     coordinates of p, and q' lives on the complement with the rest.
     """
     S = set(S)
-    missing = S - set(p.ground)
-    if missing:
-        raise ValueError(f"labels {sorted(missing)} not in ground set")
     values = sorted_values(p)
     ground_s = p.ground.restricted(S)
     ground_t = p.ground.restricted(set(p.ground) - S)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import wraps
+from math import comb
 from typing import Callable, Iterator
 
 from . import geometry
@@ -38,31 +39,21 @@ from .invariants import chi, chi_bruteforce
 SEED = 20230817
 
 
-def _series_exp(coeffs: list[Fraction]) -> list[Fraction]:
-    # exp of a series with zero constant term, via exp(f)' = f' exp(f)
-    n = len(coeffs)
-    out = [Fraction(0)] * n
-    out[0] = Fraction(1)
-    for k in range(1, n):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            acc += j * coeffs[j] * out[k - j]
-        out[k] = acc / k
-    return out
-
-
 def egf_counts(max_n: int) -> list[int]:
-    """Coefficients n! [t^n] exp(e^(2t)/2 - e^t + t + 1/2), by series composition."""
-    n = max_n + 1
-    fact = [Fraction(1)]
-    for i in range(1, n):
-        fact.append(fact[-1] * i)
-    # e^(2t)/2 - e^t + t + 1/2, term by term; its constant is 1/2 - 1 + 1/2 = 0
-    inner = [(Fraction(2**k, 2) - 1) / fact[k] + (k == 1) for k in range(n)]
-    inner[0] += Fraction(1, 2)
-    assert inner[0] == 0
-    expanded = _series_exp(inner)
-    return [int(expanded[k] * fact[k]) for k in range(n)]
+    """Coefficients a(n) = n! [t^n] exp(B) for n = 0..max_n, B = e^(2t)/2 - e^t + t + 1/2.
+
+    A = exp(B) solves A' = B'A, so a(n) = sum over k = 1..n of C(n - 1, k - 1) b(k) a(n - k),
+    where b(k) = k! [t^k] B = 2^(k - 1) - 1 + [k = 1] counts the classes on a block of k
+    labels.  All in integers.
+    """
+    max_n = _integer(max_n, "max_n")
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    b = [0, 1] + [2 ** (k - 1) - 1 for k in range(2, max_n + 1)]
+    a = [1]
+    for n in range(1, max_n + 1):
+        a.append(sum(comb(n - 1, k - 1) * b[k] * a[n - k] for k in range(1, n + 1)))
+    return a
 
 
 def random_point(rng: random.Random, n: int) -> Point:

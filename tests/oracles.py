@@ -1,7 +1,8 @@
 """Independent oracles backing the frozen expected values.
 
 Nothing here reuses the code path it checks: splits are found by
-exhaustive pair search, maximal faces from argmax over all vertices,
+exhaustive pair search, orbit vertices from every distinct rearrangement
+of the coordinates, maximal faces from argmax over those vertices,
 polynomial identities from pointwise evaluation, the series product from
 every pair of coefficients or from the cuts of every output composition,
 convolution values from the binomial cut formula on the characters
@@ -10,9 +11,9 @@ from the faces of the orbit polytope (Aguiar-Ardila's cancellation-free
 formula), the basis multisets from one generator per part of each
 integer partition, the invariant chi from the sum over every refinement
 or from a depth-first walk over every ordered set partition, and
-structure counts from the recurrence on the block holding the last label
-or from a literal sum over set partitions.  Set partitions and ordered
-set partitions are enumerated recursively here, for the tests alone.
+structure counts from a literal sum over set partitions.  Set partitions
+and ordered set partitions are enumerated recursively here, for the tests
+alone.
 The refinements of a composition, the submodular function z(S) of an
 orbit polytope as a dict over every subset and the exhaustive checks on
 it, the per-vertex scan of every subset sum behind the base polytope
@@ -20,10 +21,11 @@ check, the order-by-order walk of the chamber census, the CLI's vertex
 list sorted by ``Fraction`` values, the ribbon basis product, relabeling
 and iterated splits of monoid elements (to state naturality and
 coassociativity), the slotwise antipode and product that state the
-antipode identity, and the Hopf maps with one ``Fraction`` product per
-term (the library sums integer numerators instead) live here too, as only
-tests use them.
-The generating-function coefficients of the structure counts have one
+antipode identity, the Hopf maps with one ``Fraction`` product per term
+(the library sums integer numerators instead), and ``gm``, a basis
+multiset from tuples of parts, live here too, as only tests use them.
+The structure counts from the recurrence on the block holding the last
+label, the generating-function expansion A' = B'A in integers, have one
 copy, ``orbitopes.selftest.egf_counts``, which the tests import.
 """
 
@@ -45,7 +47,6 @@ from orbitopes.compositions import (
 from orbitopes.geometry import (
     Point,
     distinct_permutations,
-    orbit_vertices,
     sorted_values,
     subsets,
 )
@@ -63,6 +64,11 @@ from orbitopes.hopf_algebra import (
 from orbitopes.hopf_monoid import OrbitClassElement, delta
 from orbitopes.invariants import BinomialPolynomial
 from orbitopes.linear import combine
+
+
+def gm(*comps) -> GeneratorMultiset:
+    """The basis multiset of the given compositions, each a tuple of parts."""
+    return GeneratorMultiset([Composition(c) for c in comps])
 
 
 def brute_force_splits(alpha):
@@ -136,18 +142,17 @@ def count_by_enumeration(n):
     return total
 
 
-def naive_max_face(p: Point, y) -> set:
-    """Argmax of the functional over every orbit vertex."""
-    best = None
-    winners = set()
-    for v in orbit_vertices(p):
-        value = sum(Fraction(y[l]) * v[l] for l in p.ground.labels)
-        if best is None or value > best:
-            best = value
-            winners = {v}
-        elif value == best:
-            winners.add(v)
-    return winners
+def permutation_vertices(p: Point) -> set[Point]:
+    """Every orbit vertex, one per distinct rearrangement of the coordinates."""
+    return {Point.from_values(p.ground, values) for values in set(permutations(p.values))}
+
+
+def naive_max_face(p: Point, y) -> set[Point]:
+    """Argmax of the functional over every vertex of ``permutation_vertices``."""
+    vertices = permutation_vertices(p)
+    value = {v: sum(y[l] * v[l] for l in p.ground) for v in vertices}
+    best = max(value.values())
+    return {v for v in vertices if value[v] == best}
 
 
 def points_sorted(points) -> list[dict]:
@@ -410,21 +415,6 @@ def walk_chi(x: OrbitClassElement) -> BinomialPolynomial:
                 if not any(len(block) > 1 for block, _ in factor.blocks):
                     stack.append((tail, k + 1))
     return BinomialPolynomial(dict(enumerate(counts)))
-
-
-def recurrence_count(n: int) -> int:
-    """Structure count from the recurrence on the block holding the last label, bottom-up."""
-
-    def classes_on_block(m):
-        # (1) on one label, a composition with two or more parts otherwise
-        return 1 if m == 1 else 2 ** (m - 1) - 1
-
-    counts = [1]
-    for m in range(1, n + 1):
-        counts.append(sum(
-            comb(m - 1, k - 1) * classes_on_block(k) * counts[m - k] for k in range(1, m + 1)
-        ))
-    return counts[n]
 
 
 def relabel(x: OrbitClassElement, sigma) -> OrbitClassElement:

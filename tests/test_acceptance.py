@@ -32,7 +32,6 @@ from orbitopes.geometry import (
 )
 from orbitopes.hopf_algebra import (
     EMPTY_MULTISET,
-    GeneratorMultiset,
     HopfElement,
     TensorElement,
     antipode,
@@ -45,7 +44,7 @@ from orbitopes.hopf_algebra import (
 from orbitopes.hopf_monoid import count_structures
 from orbitopes.invariants import BinomialPolynomial, chi, to_monomial
 from orbitopes.selftest import egf_counts, random_character, random_point, suite_chi, suite_delta_geometry
-from oracles import apply_antipode_slot, multiply_slots, pairwise_series_mul, partition_multisets
+from oracles import apply_antipode_slot, gm, multiply_slots, pairwise_series_mul, partition_multisets
 
 C = Composition
 F = Fraction
@@ -77,9 +76,6 @@ def _best_of(fn, repeats=3):
 
 
 def test_criterion_1_coproduct_of_1_2_1():
-    def gm(*comps):
-        return GeneratorMultiset([C(c) for c in comps])
-
     expected = TensorElement({
         (EMPTY_MULTISET, gm((1, 2, 1))): F(1),
         (gm((1,)), gm((2, 1))): F(4),

@@ -45,7 +45,7 @@ def test_series_mul_examples():
     assert got == NSymSeries(3, {C(()): F(1), C((2,)): F(-1), C((1, 1)): F(-1)})
 
     f = NSymSeries(3, {C((2, 1)): F(5), C(()): F(2)})
-    assert series_mul(f, NSymSeries.unit(3)) == f
+    assert series_mul(f, NSymSeries.unit(3)) == f == f * NSymSeries.unit(3)
 
     # cube of the degree-one ribbon: every composition of 3, coefficient 1
     cube_left = series_mul(series_mul(r1, r1), r1)
@@ -98,6 +98,7 @@ def test_in_group_G_examples():
     assert in_group_G(char_to_series(Character.basic(6)))
     assert in_group_G(NSymSeries.unit(6))
     assert not in_group_G(NSymSeries.unit(6) + NSymSeries(6, {C((2,)): F(1)}))
+    assert not in_group_G(2 * char_to_series(Character.basic(6)))
 
 
 def test_char_to_series_examples():

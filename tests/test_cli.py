@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -17,8 +16,8 @@ from orbitopes.geometry import GroundSet, Point
 from orbitopes.hopf_algebra import HopfElement, antipode, inject
 from orbitopes.hopf_monoid import COUNT_MAX_N
 from orbitopes.invariants import CHI_MAX_WEIGHT, chi
-from orbitopes.selftest import run_selftest
-from oracles import points_sorted, recurrence_count
+from orbitopes.selftest import egf_counts, run_selftest
+from oracles import naive_max_face, permutation_vertices, points_sorted
 
 C = Composition
 
@@ -70,17 +69,6 @@ def test_maxface(capsys):
     ]
 
 
-def permutation_vertices(p: Point) -> set[Point]:
-    return {Point.from_values(p.ground, values) for values in set(permutations(p.values))}
-
-
-def argmax_vertices(p: Point, y: dict) -> set[Point]:
-    vertices = permutation_vertices(p)
-    value = {v: sum(y[l] * v[l] for l in p.ground) for v in vertices}
-    best = max(value.values())
-    return {v for v in vertices if value[v] == best}
-
-
 def cli_stdout(capsys, *argv) -> str:
     code, out, err = invoke(capsys, *argv)
     assert (code, err) == (0, ""), err
@@ -99,7 +87,7 @@ def test_vertices_and_maxface_print_the_sorted_oracle(capsys):
         point, functional = json.dumps(p.to_json()), json.dumps({l: str(v) for l, v in y.items()})
         expected = json.dumps({"vertices": points_sorted(permutation_vertices(p))}) + "\n"
         assert cli_stdout(capsys, "vertices", "--point", point) == expected, point
-        expected = json.dumps({"vertices": points_sorted(argmax_vertices(p, y))}) + "\n"
+        expected = json.dumps({"vertices": points_sorted(naive_max_face(p, y))}) + "\n"
         assert cli_stdout(capsys, "maxface", "--point", point, "--functional", functional) == expected
 
 
@@ -403,7 +391,7 @@ def test_python_dash_m_runs_the_cli():
 def test_count_600_in_a_fresh_process():
     proc = python_dash_m("count", "--n", "600")
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
-    assert json.loads(proc.stdout) == {"count": recurrence_count(600)}
+    assert json.loads(proc.stdout) == {"count": egf_counts(600)[600]}
 
 
 def test_malformed_json_is_exit_2(tmp_path, capsys):

@@ -128,6 +128,8 @@ def test_iterated_restrict_examples():
     assert iterated_restrict(C((1, 2, 1)), [0, 4]) == [EMPTY, C((1, 2, 1))]
     with pytest.raises(ValueError, match="sum"):
         iterated_restrict(C((1, 2, 1)), [2, 1])
+    with pytest.raises(ValueError, match="^piece sizes must be nonnegative$"):
+        iterated_restrict(C((1, 2, 1)), [5, -1])
     for sizes in ([1.0, 1.0], [2.0, 0], ["1", 1], [None, 2]):
         with pytest.raises(ValueError, match="piece size must be an integer"):
             iterated_restrict(C((2,)), sizes)

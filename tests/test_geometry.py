@@ -32,6 +32,7 @@ from oracles import (
     is_submodular,
     naive_max_face,
     order_first_census,
+    permutation_vertices,
     submodular_of_orbit,
     vertex_scan_table,
 )
@@ -115,7 +116,7 @@ COPRIME = (F(10**40, 7), F(-1, 11), F(3, 13), F(0), F(5, 2))
 def test_check_base_polytope_scales_to_integers():
     p = pt(*COPRIME)
     assert check_base_polytope(p)
-    assert orbit_vertices(p) == {Point.from_values(p.ground, v) for v in permutations(COPRIME)}
+    assert orbit_vertices(p) == permutation_vertices(p)
     assert check_base_polytope(pt(F(2, 3), F(2, 3), F(2, 3)))
     assert check_base_polytope(Point(GroundSet(()), {}))
 
@@ -144,9 +145,7 @@ def test_vertex_first_census_and_rank_walk_match_the_oracles(kind):
         census = chamber_census(p)
         assert census == order_first_census(p), p
         assert len({id(v) for v in census.values()}) == vertex_count(p), p
-        assert orbit_vertices(p) == {
-            Point._of(p.ground, a) for a in distinct_permutations(p.values)
-        }, p
+        assert orbit_vertices(p) == permutation_vertices(p), p
 
 
 # Fraction(-1) and Fraction(-2) both hash to -2; 2^61 - 1 is the modulus of numeric
@@ -223,6 +222,9 @@ def test_max_face_example_from_worked_case():
     assert max_face_vertices(p, y) == {pt(1, 0, 2, 2), pt(2, 0, 1, 2), pt(2, 0, 2, 1)}
     # a functional given as a Point reads as its label -> value map
     assert max_face_vertices(p, pt(1, 0, 1, 1)) == max_face_vertices(p, y)
+    for other in ({**y, "5": F(0)}, {"1": F(1), "2": F(0), "3": F(1)}, pt(1, 0, 1, 1, labels="abcd")):
+        with pytest.raises(ValueError, match="^functional must be defined on exactly the ground-set labels$"):
+            max_face_vertices(p, other)
 
 
 def test_max_face_constant_functional_gives_all_vertices():
@@ -387,8 +389,8 @@ def test_face_decomposition_examples():
     q, q_prime = face_decomposition(p, set("abcd"))
     assert composition_of_point(q) == composition_of_point(p) and len(q_prime.ground) == 0
 
-    with pytest.raises(ValueError):
-        face_decomposition(p, {"z"})
+    with pytest.raises(ValueError, match=r"^labels \['y', 'z'\] not in ground set$"):
+        face_decomposition(p, {"a", "z", "y"})
 
 
 def test_face_decomposition_matches_max_face_product():

@@ -25,6 +25,7 @@ from orbitopes.hopf_monoid import class_of, delta
 from oracles import (
     apply_antipode_slot,
     face_antipode,
+    gm,
     multiply_slots,
     partition_multisets,
     recursive_antipode,
@@ -35,10 +36,6 @@ from oracles import (
 
 C = Composition
 F = Fraction
-
-
-def gm(*comps):
-    return GeneratorMultiset([C(c) for c in comps])
 
 
 def elem(*comps):
@@ -56,6 +53,8 @@ def test_generator_multiset_validation():
     assert all(type(a) is Composition for key in x.coeffs for a in key)
     t = TensorElement({(((2, 1), (1,)), ()): 1})
     assert t == TensorElement({(gm((1,), (2, 1)), EMPTY_MULTISET): 1})
+    with pytest.raises(ValueError, match="does not have arity 3"):
+        TensorElement(t.coeffs, arity=3)
     with pytest.raises(ValueError, match="generator"):
         HopfElement({((3,),): 1})
     with pytest.raises(ValueError, match="generator"):

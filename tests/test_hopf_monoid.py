@@ -18,7 +18,7 @@ from orbitopes.hopf_monoid import (
 )
 from orbitopes.selftest import egf_counts
 from oracles import (
-    count_by_enumeration, delta_iterated, ordered_set_partitions, recurrence_count, relabel, set_partitions,
+    count_by_enumeration, delta_iterated, ordered_set_partitions, relabel, set_partitions,
 )
 
 C = Composition
@@ -52,6 +52,13 @@ def test_element_validation():
         OrbitClassElement("ab", [(frozenset("ab"), C((1, 1))), (frozenset("b"), C((1,)))])
     with pytest.raises(ValueError, match="fit"):
         OrbitClassElement("ab", [(frozenset("ab"), C((1,)))])
+    with pytest.raises(ValueError, match="^block labels must lie in the ground set$"):
+        OrbitClassElement("ab", [(frozenset("abz"), C((2, 1)))])
+    # a plain tuple is read as a composition; equal elements hash equal
+    x = OrbitClassElement("abc", [("ab", (1, 1)), ("c", (1,))])
+    assert all(type(comp) is Composition for _, comp in x.blocks)
+    y = mu(class_of(C((1, 1)), "ab"), class_of(C((1,)), "c"))
+    assert x == y and len({x, y}) == 1
 
 
 def test_relabel_examples():
@@ -224,16 +231,12 @@ def test_count_structures_matches_direct_partition_sum():
         assert stirling_row(n) == [blocks[k] for k in range(n + 1)], n
 
 
-def test_count_structures_matches_stirling_closed_form():
-    for n in [600, 300, *range(61)]:
-        assert count_structures(n) == recurrence_count(n), n
-
-
 def test_count_structures_keeps_the_longest_row_read(monkeypatch):
     monkeypatch.setattr(hopf_monoid, "_row", (0, [1]))
     largest = -1
+    expected = egf_counts(41)
     for n in [7, 3, 40, 12, 40, 0, 41, 1]:
-        assert count_structures(n) == recurrence_count(n), n
+        assert count_structures(n) == expected[n], n
         largest = max(largest, n)
         assert hopf_monoid._row[0] == largest + 1
         assert hopf_monoid._row[1] == stirling_row(largest + 1)
@@ -245,7 +248,13 @@ def test_count_structures_keeps_the_longest_row_read(monkeypatch):
 
 
 def test_count_structures_matches_egf_expansion():
-    assert [count_structures(n) for n in range(31)] == egf_counts(30)
+    expected = egf_counts(600)
+    for n in [600, 300, *range(61)]:
+        assert count_structures(n) == expected[n], n
+    for value, message in [(-1, "max_n must be nonnegative"), (2.0, "max_n must be an integer, got 2.0"),
+                           ("3", "max_n must be an integer, got '3'")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            egf_counts(value)
 
 
 def test_count_structures_bound():
