@@ -33,10 +33,16 @@ def _check_degree_bound(degree: int) -> None:
 
 
 def _check_repeats(args) -> None:
-    # each "append" flag must be given as often as its subcommand reads it
-    flag, count, noun = args.repeated
-    if len(getattr(args, flag)) != count:
-        raise SchemaError(f"{args.command}: expected exactly {('one', 'two')[count - 1]} --{flag} {noun}")
+    # every value flag is gathered into a list, so that a repeat is seen: each must be given as
+    # often as its subcommand reads it, and a flag read once is then replaced by its one value
+    for flag, count, noun, required, default in args.flags:
+        dest = flag.replace("-", "_")
+        values = getattr(args, dest) or []
+        if len(values) > count or (required and len(values) < count):
+            bound, number = ("exactly" if required else "at most"), ("one", "two")[count - 1]
+            raise SchemaError(f"{args.command}: expected {bound} {number} --{flag} {noun}{'s' * (count > 1)}")
+        if count == 1:
+            setattr(args, dest, values[0] if values else default)
 
 
 def _parse_json(text: str, what: str):
@@ -92,14 +98,14 @@ def _vertex_rows(ground, distinct, arrangements) -> list[dict]:
 def cmd_classify(args) -> dict:
     from .geometry import Point, composition_of_point
 
-    p = _payload(args.point[0], "point", Point.from_json)
+    p = _payload(args.point, "point", Point.from_json)
     return {"composition": list(composition_of_point(p))}
 
 
 def cmd_vertices(args) -> dict:
     from .geometry import Point, _orbit_ranks
 
-    p = _payload(args.point[0], "point", Point.from_json)
+    p = _payload(args.point, "point", Point.from_json)
     return {"vertices": _vertex_rows(p.ground, *_orbit_ranks(p))}
 
 
@@ -107,7 +113,7 @@ def cmd_maxface(args) -> dict:
     from .geometry import Point, _max_face_ranks
 
     # a functional has a point's shape
-    p = _payload(args.point[0], "point", Point.from_json)
+    p = _payload(args.point, "point", Point.from_json)
     y = _payload(args.functional, "functional", Point.from_json)
     if set(y.ground) != set(p.ground):
         raise SchemaError("functional: must be defined on exactly the point's labels")
@@ -205,7 +211,7 @@ def cmd_series_mul(args) -> dict:
 def cmd_series_inv(args) -> dict:
     from .characters import series_inverse
 
-    f = _load_series(args.series[0])
+    f = _load_series(args.series)
     return series_inverse(f).to_json()
 
 
@@ -228,54 +234,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, repeated=None, **kwargs):
+    def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn, repeated=repeated)
+        p.set_defaults(fn=fn, flags=[])
         return p
 
-    p = add("classify", cmd_classify, ("point", 1, "argument"), help="composition of a point")
-    p.add_argument("--point", action="append", required=True, help="JSON object label -> rational")
+    def flag(p, name, count=1, noun="argument", required=False, default=None, **kwargs):
+        # a value flag read ``count`` times (at most once if optional), checked by _check_repeats
+        p.add_argument(f"--{name}", action="append", required=required, **kwargs)
+        p.get_default("flags").append((name, count, noun, required, default))
 
-    p = add("vertices", cmd_vertices, ("point", 1, "argument"), help="orbit vertices of a point")
-    p.add_argument("--point", action="append", required=True)
+    p = add("classify", cmd_classify, help="composition of a point")
+    flag(p, "point", required=True, help="JSON object label -> rational")
 
-    p = add("maxface", cmd_maxface, ("point", 1, "argument"), help="vertices maximizing a functional")
-    p.add_argument("--point", action="append", required=True)
-    p.add_argument("--functional", required=True, help="JSON object label -> rational")
+    p = add("vertices", cmd_vertices, help="orbit vertices of a point")
+    flag(p, "point", required=True)
 
-    p = add("normeq", cmd_normeq, ("point", 2, "arguments"), help="normal equivalence of two points")
-    p.add_argument("--point", action="append", required=True, help="give twice")
+    p = add("maxface", cmd_maxface, help="vertices maximizing a functional")
+    flag(p, "point", required=True)
+    flag(p, "functional", required=True, help="JSON object label -> rational")
+
+    p = add("normeq", cmd_normeq, help="normal equivalence of two points")
+    flag(p, "point", 2, required=True, help="give twice")
 
     p = add("delta", cmd_delta, help="cut a composition by weight(s)")
-    p.add_argument("--composition", required=True, help="JSON array of parts")
-    p.add_argument("--size", type=int, help="single cut weight")
-    p.add_argument("--sizes", help="JSON array of piece weights")
+    flag(p, "composition", required=True, help="JSON array of parts")
+    flag(p, "size", type=int, help="single cut weight")
+    flag(p, "sizes", help="JSON array of piece weights")
 
     p = add("coproduct", cmd_coproduct, help="coproduct of a composition class")
-    p.add_argument("--composition", required=True)
+    flag(p, "composition", required=True)
 
     p = add("antipode", cmd_antipode, help="antipode of an algebra element")
-    p.add_argument("--element", required=True, help="JSON array of {coeff, multiset} terms")
+    flag(p, "element", required=True, help="JSON array of {coeff, multiset} terms")
 
     p = add("chi", cmd_chi, help="polynomial invariant of a composition class")
-    p.add_argument("--composition", required=True)
+    flag(p, "composition", required=True)
     p.add_argument("--monomial", action="store_true", help="also expand in the monomial basis")
 
-    p = add("convolve", cmd_convolve, ("char", 2, "files"), help="convolve two characters from files")
-    p.add_argument("--char", action="append", required=True, help="path to a character JSON file; give twice")
-    p.add_argument("--degree", type=int, default=None, help="overrides each file's degree")
+    p = add("convolve", cmd_convolve, help="convolve two characters from files")
+    flag(p, "char", 2, "file", required=True, help="path to a character JSON file; give twice")
+    flag(p, "degree", type=int, help="overrides each file's degree")
 
-    p = add("series-mul", cmd_series_mul, ("series", 2, "files"), help="multiply two ribbon series from files")
-    p.add_argument("--series", action="append", required=True, help="give twice")
+    p = add("series-mul", cmd_series_mul, help="multiply two ribbon series from files")
+    flag(p, "series", 2, "file", required=True, help="give twice")
 
-    p = add("series-inv", cmd_series_inv, ("series", 1, "file"), help="invert a ribbon series from a file")
-    p.add_argument("--series", action="append", required=True)
+    p = add("series-inv", cmd_series_inv, help="invert a ribbon series from a file")
+    flag(p, "series", 1, "file", required=True)
 
     p = add("count", cmd_count, help="number of classes on n labels")
-    p.add_argument("--n", type=int, required=True)
+    flag(p, "n", type=int, required=True)
 
     p = add("selftest", cmd_selftest, help="run the oracle-equivalence suites")
-    p.add_argument("--max-n", type=int, default=5, dest="max_n")
+    flag(p, "max-n", type=int, default=5)
 
     return parser
 
@@ -287,8 +298,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.repeated:
-            _check_repeats(args)
+        _check_repeats(args)
         payload = args.fn(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import accumulate
 from operator import index
 from typing import Iterable, Sequence
 
@@ -92,21 +93,23 @@ def near_concat(beta: Composition, gamma: Composition) -> Composition:
     return Composition(beta[:-1] + (beta[-1] + gamma[0],) + gamma[1:])
 
 
-def _cuts(alpha: Composition, lo: int, hi: int):
-    """The cuts of ``alpha`` at weights lo..hi - 1, in order, in one walk over its parts."""
-    acc = 0  # the weight of the parts before part j
-    for j, part in enumerate(alpha):
-        end = acc + part
-        if end > lo:  # part j holds the cut at acc, between parts, and the cuts splitting it
-            if acc >= hi:
-                return
-            if acc >= lo:
-                yield _piece(alpha[:j]), _piece(alpha[j:])
-            for i in range(max(acc + 1, lo), min(end, hi)):
-                yield _piece(alpha[:j] + (i - acc,)), _piece((end - i,) + alpha[j + 1:])
-        acc = end
-    if lo <= acc < hi:
-        yield alpha, EMPTY
+def _cut(alpha: Composition, ends: Iterable[int]) -> list[Composition]:
+    """The pieces of ``alpha`` between the cut weights 0, ``ends`` (nondecreasing,
+    within 0..|alpha|) and |alpha|, in one walk over its parts."""
+    pieces, head, start = [], (), 0  # the next piece opens with head, then the parts from start
+    j = acc = prev = 0  # acc: the weight of the parts before part j; prev: the last cut
+    for end in ends:
+        while j < len(alpha) and acc + alpha[j] <= end:
+            acc += alpha[j]
+            j += 1
+        if start > j:  # the last cut and this one both lie inside part j
+            pieces.append(_piece((end - prev,) if end > prev else ()))
+        else:
+            pieces.append(_piece(head + alpha[start:j] + ((end - acc,) if end > acc else ())))
+        head, start = ((acc + alpha[j] - end,), j + 1) if end > acc else ((), j)
+        prev = end
+    pieces.append(_piece(head + alpha[start:]))
+    return pieces
 
 
 def restrict_contract(alpha: Composition, i: int) -> tuple[Composition, Composition]:
@@ -118,13 +121,13 @@ def restrict_contract(alpha: Composition, i: int) -> tuple[Composition, Composit
     single cut of a composition such as (10**9,) stays cheap.
     """
     i = _integer(i, "cut weight")
-    for cut in _cuts(alpha, i, i + 1):
-        return cut
-    raise ValueError(f"cut weight {i} out of range for {alpha}")
+    if not 0 <= i <= alpha.weight:
+        raise ValueError(f"cut weight {i} out of range for {alpha}")
+    return tuple(_cut(alpha, (i,)))
 
 
 def iterated_restrict(alpha: Composition, sizes: Sequence[int]) -> list[Composition]:
-    """Cut ``alpha`` into consecutive pieces of the given weights.
+    """Cut ``alpha`` into consecutive pieces of the given weights, in one walk.
 
     Reassembling the pieces with concatenation (at cuts between parts) and
     near-concatenation (at cuts through a part) recovers ``alpha``.
@@ -134,17 +137,12 @@ def iterated_restrict(alpha: Composition, sizes: Sequence[int]) -> list[Composit
         raise ValueError("piece sizes must be nonnegative")
     if sum(sizes) != alpha.weight:
         raise ValueError(f"sizes {list(sizes)} do not sum to |{alpha}| = {alpha.weight}")
-    pieces = []
-    rest = alpha
-    for s in sizes:
-        piece, rest = restrict_contract(rest, s)
-        pieces.append(piece)
-    return pieces
+    return _cut(alpha, accumulate(sizes[:-1])) if sizes else []
 
 
 def splits(alpha: Composition) -> tuple[tuple[Composition, Composition], ...]:
-    """All cuts of ``alpha``: restrict_contract(alpha, i) for i = 0..|alpha|, in one walk."""
-    return tuple(_cuts(alpha, 0, alpha.weight + 1))
+    """All cuts of ``alpha``: restrict_contract(alpha, i) for i = 0..|alpha|."""
+    return tuple(tuple(_cut(alpha, (i,))) for i in range(alpha.weight + 1))
 
 
 def compositions_of(n: int) -> tuple[Composition, ...]:

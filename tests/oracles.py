@@ -1,7 +1,8 @@
 """Independent oracles backing the frozen expected values.
 
 Nothing here reuses the code path it checks: splits are found by
-exhaustive pair search, orbit vertices from every distinct rearrangement
+exhaustive pair search, iterated cuts one single cut at a time, each off
+the remainder of the last, orbit vertices from every distinct rearrangement
 of the coordinates, maximal faces from argmax over those vertices,
 polynomial identities from pointwise evaluation, the series product from
 every pair of coefficients or from the cuts of every output composition,
@@ -42,6 +43,7 @@ from orbitopes.compositions import (
     iterated_restrict,
     multinomial,
     near_concat,
+    restrict_contract,
     splits,
 )
 from orbitopes.geometry import (
@@ -83,6 +85,17 @@ def brute_force_splits(alpha):
                 elif beta and gamma and near_concat(beta, gamma) == alpha:
                     found.append((i, beta, gamma, "near"))
     return found
+
+
+def remainder_restrict(alpha: Composition, sizes) -> list[Composition]:
+    """The consecutive pieces of ``alpha`` of the given weights, each cut off the rest by one
+    ``restrict_contract``; the rest is sliced anew for every piece."""
+    pieces = []
+    rest = alpha
+    for s in sizes:
+        piece, rest = restrict_contract(rest, s)
+        pieces.append(piece)
+    return pieces
 
 
 def refinements(alpha: Composition) -> list[Composition]:

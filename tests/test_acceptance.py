@@ -104,7 +104,7 @@ def test_criterion_2_classification_example():
 def test_criterion_3_max_face_example():
     ground = standard_ground(4)
     p = Point.from_values(ground, [F(2), F(2), F(1), F(0)])
-    y = dict(zip(ground.labels, [F(1), F(0), F(1), F(1)]))
+    y = dict(zip(ground, [F(1), F(0), F(1), F(1)]))
     expected = {
         Point.from_values(ground, [F(1), F(0), F(2), F(2)]),
         Point.from_values(ground, [F(2), F(0), F(1), F(2)]),
@@ -183,7 +183,7 @@ def test_criterion_8_polynomial_invariant():
 def _orders_of_vertex(v):
     # total orders whose chamber contains v: permute within each level set
     levels = {}
-    for label, value in zip(v.ground.labels, v.values):
+    for label, value in zip(v.ground, v.values):
         levels.setdefault(value, []).append(label)
     blocks = [levels[val] for val in sorted(levels, reverse=True)]
     for arrangement in product(*(permutations(b) for b in blocks)):

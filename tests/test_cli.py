@@ -151,6 +151,17 @@ P1, P2 = '{"a":"1","b":"0"}', '{"a":"2","b":"0"}'
     (["convolve", "--char", "CHAR", "--char", "CHAR", "--char", "CHAR"], "convolve: expected exactly two --char files"),
     (["series-mul", "--series", "SERIES"], "series-mul: expected exactly two --series files"),
     (["series-inv", "--series", "SERIES", "--series", "MISSING"], "series-inv: expected exactly one --series file"),
+    # every value flag, not only the ones read more than once: a repeat is refused, not overwritten
+    (["maxface", "--point", P1, "--functional", P1, "--functional", P2], "maxface: expected exactly one --functional argument"),
+    (["delta", "--composition", "[1]", "--composition", "[2]", "--size", "1"], "delta: expected exactly one --composition argument"),
+    (["delta", "--composition", "[2]", "--size", "1", "--size", "2"], "delta: expected at most one --size argument"),
+    (["delta", "--composition", "[2]", "--sizes", "[2]", "--sizes", "[1,1]"], "delta: expected at most one --sizes argument"),
+    (["coproduct", "--composition", "[1]", "--composition", "[2]"], "coproduct: expected exactly one --composition argument"),
+    (["antipode", "--element", "[]", "--element", "[]"], "antipode: expected exactly one --element argument"),
+    (["chi", "--composition", "[1]", "--composition", "[2,1]"], "chi: expected exactly one --composition argument"),
+    (["convolve", "--char", "CHAR", "--char", "CHAR", "--degree", "2", "--degree", "3"], "convolve: expected at most one --degree argument"),
+    (["count", "--n", "3", "--n", "4"], "count: expected exactly one --n argument"),
+    (["selftest", "--max-n", "2", "--max-n", "3"], "selftest: expected at most one --max-n argument"),
 ])
 def test_repeated_flag_count(tmp_path, capsys, argv, message):
     paths = dict(data_files(tmp_path), MISSING=str(tmp_path / "missing.json"))

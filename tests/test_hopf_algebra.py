@@ -275,15 +275,15 @@ def test_grading():
 def test_fock_consistency_with_labeled_splits():
     # the binomial weight on each cut counts the labeled subsets realizing it
     for n in range(1, 6):
-        labels = standard_ground(n).labels
+        labels = standard_ground(n)
         for alpha in compositions_of(n):
             cp = coproduct(inject(alpha))
             observed: dict = {}
             for S in subsets(labels):
                 left, right = delta(class_of(alpha, labels), S)
                 key = (
-                    gm(*(c.parts for _, c in sorted(left.blocks, key=lambda b: min(b[0])))),
-                    gm(*(c.parts for _, c in sorted(right.blocks, key=lambda b: min(b[0])))),
+                    gm(*(c for _, c in sorted(left.blocks, key=lambda b: min(b[0])))),
+                    gm(*(c for _, c in sorted(right.blocks, key=lambda b: min(b[0])))),
                 )
                 observed[key] = observed.get(key, 0) + 1
             assert {k: F(v) for k, v in observed.items()} == cp.coeffs

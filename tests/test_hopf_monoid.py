@@ -140,7 +140,7 @@ def test_delta_iterated_examples():
 def test_delta_counital():
     for n in range(5):
         for alpha in compositions_of(n):
-            x = class_of(alpha, standard_ground(n).labels)
+            x = class_of(alpha, standard_ground(n))
             assert delta(x, set()) == (UNIT, x)
             assert delta(x, set(x.ground)) == (x, UNIT)
 
@@ -158,7 +158,7 @@ def _elements_over(labels):
 def test_hopf_compatibility_exhaustive():
     # delta of a product = blockwise products of the four corner deltas
     for m in range(5 + 1):
-        labels = standard_ground(m).labels
+        labels = standard_ground(m)
         for s_prime in subsets(labels):
             t_prime = tuple(l for l in labels if l not in set(s_prime))
             for x in _elements_over(s_prime):
@@ -173,7 +173,7 @@ def test_hopf_compatibility_exhaustive():
 
 def test_delta_iterated_coassociative():
     for n in range(5 + 1):
-        labels = standard_ground(n).labels
+        labels = standard_ground(n)
         for alpha in compositions_of(n):
             x = class_of(alpha, labels)
             for parts in ordered_set_partitions(labels):
@@ -188,7 +188,7 @@ def test_delta_iterated_coassociative():
 
 @given(st.integers(1, 5), st.randoms())
 def test_relabel_natural_for_mu_and_delta(n, rng):
-    labels = standard_ground(n).labels
+    labels = standard_ground(n)
     comps = list(compositions_of(n))
     alpha = rng.choice(comps)
     x = class_of(alpha, labels)
