@@ -92,35 +92,44 @@ def test_restrict_contract_examples():
             restrict_contract(C((2,)), weight)
 
 
-def test_cuts_match_the_oracles():
-    # one walk serves splits, restrict_contract and iterated_restrict: each against its oracle
+def test_splits_match_exhaustive_pair_search():
+    # unique (beta, gamma) per left weight, and no other pair works
     for alpha in compositions_up_to(8):
         n = alpha.weight
-        # splits: the unique (beta, gamma) per left weight of the exhaustive pair search
         found = brute_force_splits(alpha)
         by_weight = {i: (b, g) for i, b, g, _ in found}
         assert len(found) == len(by_weight) == n + 1
+        assert splits(alpha) == tuple(by_weight[i] for i in range(n + 1))
+
+
+def test_restrict_contract_reads_splits():
+    # splits and restrict_contract share one walk over the parts
+    for alpha in compositions_up_to(8):
         cuts = splits(alpha)
-        assert cuts == tuple(by_weight[i] for i in range(n + 1))
-        for i in range(n + 1):
+        assert len(cuts) == alpha.weight + 1
+        for i in range(alpha.weight + 1):
             cut = restrict_contract(alpha, i)
             assert cut == cuts[i]
             assert all(type(piece) is Composition for piece in cut + cuts[i])
-        for i in (-1, n + 1):
+        for i in (-1, alpha.weight + 1):
             with pytest.raises(ValueError, match=f"^{re.escape(f'cut weight {i} out of range for {alpha}')}$"):
                 restrict_contract(alpha, i)
-        # iterated_restrict: one single cut at a time off the remainder, empty pieces included
-        for c in compositions_of(n):
-            for sizes in (list(c), [0, *c, 0]):
-                pieces = iterated_restrict(alpha, sizes)
-                assert pieces == remainder_restrict(alpha, sizes)
-                assert all(type(piece) is Composition for piece in pieces)
     # one cut of a huge part walks one part, not the 10**9 cuts inside it
     big = C((10**9,))
     assert restrict_contract(big, 5) == (C((5,)), C((10**9 - 5,)))
     assert restrict_contract(big, 0) == (EMPTY, big) and restrict_contract(big, 10**9) == (big, EMPTY)
     with pytest.raises(ValueError, match="out of range"):
         restrict_contract(big, 10**9 + 1)
+
+
+def test_iterated_restrict_matches_the_remainder_loop():
+    # one single cut at a time off the remainder, empty pieces included
+    for alpha in compositions_up_to(8):
+        for c in compositions_of(alpha.weight):
+            for sizes in (list(c), [0, *c, 0]):
+                pieces = iterated_restrict(alpha, sizes)
+                assert pieces == remainder_restrict(alpha, sizes)
+                assert all(type(piece) is Composition for piece in pieces)
     # many pieces: 1^2000 into ones, and (3, 7, 2)^300 by seeded sizes, zeros among them
     ones = C((1,) * 2000)
     assert iterated_restrict(ones, [1] * 2000) == remainder_restrict(ones, [1] * 2000) == [C((1,))] * 2000
