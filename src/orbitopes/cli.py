@@ -35,14 +35,14 @@ def _check_degree_bound(degree: int) -> None:
 def _check_repeats(args) -> None:
     # every value flag is gathered into a list, so that a repeat is seen: each must be given as
     # often as its subcommand reads it, and a flag read once is then replaced by its one value
-    for flag, count, noun, required, default in args.flags:
+    for flag, count, noun, required in args.flags:
         dest = flag.replace("-", "_")
         values = getattr(args, dest) or []
         if len(values) > count or (required and len(values) < count):
             bound, number = ("exactly" if required else "at most"), ("one", "two")[count - 1]
             raise SchemaError(f"{args.command}: expected {bound} {number} --{flag} {noun}{'s' * (count > 1)}")
         if count == 1:
-            setattr(args, dest, values[0] if values else default)
+            setattr(args, dest, values[0] if values else None)
 
 
 def _parse_json(text: str, what: str):
@@ -224,7 +224,7 @@ def cmd_count(args) -> dict:
 def cmd_selftest(args) -> dict:
     from .selftest import run_selftest
 
-    return run_selftest(args.max_n)
+    return run_selftest() if args.max_n is None else run_selftest(args.max_n)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,10 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn, flags=[])
         return p
 
-    def flag(p, name, count=1, noun="argument", required=False, default=None, **kwargs):
+    def flag(p, name, count=1, noun="argument", required=False, **kwargs):
         # a value flag read ``count`` times (at most once if optional), checked by _check_repeats
         p.add_argument(f"--{name}", action="append", required=required, **kwargs)
-        p.get_default("flags").append((name, count, noun, required, default))
+        p.get_default("flags").append((name, count, noun, required))
 
     p = add("classify", cmd_classify, help="composition of a point")
     flag(p, "point", required=True, help="JSON object label -> rational")
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     flag(p, "n", type=int, required=True)
 
     p = add("selftest", cmd_selftest, help="run the oracle-equivalence suites")
-    flag(p, "max-n", type=int, default=5)
+    flag(p, "max-n", type=int)
 
     return parser
 

@@ -141,8 +141,11 @@ def iterated_restrict(alpha: Composition, sizes: Sequence[int]) -> list[Composit
 
 
 def splits(alpha: Composition) -> tuple[tuple[Composition, Composition], ...]:
-    """All cuts of ``alpha``: restrict_contract(alpha, i) for i = 0..|alpha|."""
-    return tuple(tuple(_cut(alpha, (i,))) for i in range(alpha.weight + 1))
+    """All cuts of ``alpha``: restrict_contract(alpha, i) for i = 0..|alpha|, in one walk
+    over (part j, offset k), the cut that keeps k of part j on the left."""
+    cuts = [(_piece(alpha[:j] + (k,) if k else alpha[:j]), _piece((part - k,) + alpha[j + 1:]))
+            for j, part in enumerate(alpha) for k in range(part)]
+    return (*cuts, (alpha, EMPTY))
 
 
 def compositions_of(n: int) -> tuple[Composition, ...]:
@@ -159,12 +162,9 @@ def compositions_of(n: int) -> tuple[Composition, ...]:
     return rows[n]  # lexicographic by construction
 
 
-def multinomial(n: int, gamma: Composition) -> int:
-    """n! / (gamma_1! ... gamma_k!), exact."""
-    n = _integer(n, "n")
-    if gamma.weight != n:
-        raise ValueError(f"{gamma} is not a composition of {n}")
-    result = math.factorial(n)
+def multinomial(gamma: Composition) -> int:
+    """|gamma|! / (gamma_1! ... gamma_k!), exact."""
+    result = math.factorial(gamma.weight)
     for part in gamma:
         result //= math.factorial(part)
     return result

@@ -436,4 +436,4 @@ def representative_point(alpha: Composition, ground: GroundSet) -> Point:
 
 def vertex_count(p: Point) -> int:
     """n! / prod(m_i!) for the multiplicities m_i of the coordinate multiset."""
-    return multinomial(len(p.ground), composition_of_point(p))
+    return multinomial(composition_of_point(p))

@@ -22,12 +22,11 @@ Block = tuple[frozenset, Composition]
 
 
 class OrbitClassElement:
-    """Canonical blocks-with-compositions structure over a finite label set."""
+    """Canonical blocks-with-compositions structure; its label set ``ground`` is the blocks' union."""
 
     __slots__ = ("ground", "blocks")
 
-    def __init__(self, ground: Iterable[str], blocks: Iterable[Block]):
-        ground = frozenset(ground)
+    def __init__(self, blocks: Iterable[Block]):
         canonical = set()
         covered: set[str] = set()
         for labels, comp in blocks:
@@ -36,8 +35,6 @@ class OrbitClassElement:
                 comp = Composition(comp)
             if comp.weight != len(labels):
                 raise ValueError(f"composition {comp} does not fit block of size {len(labels)}")
-            if not labels <= ground:
-                raise ValueError("block labels must lie in the ground set")
             if covered & labels:
                 raise ValueError("blocks must be disjoint")
             covered |= labels
@@ -46,20 +43,14 @@ class OrbitClassElement:
                 canonical.update((frozenset([l]), ONE) for l in labels)
             elif labels:
                 canonical.add((labels, comp))
-        if covered != ground:
-            raise ValueError("blocks must cover the ground set")
-        self.ground = ground
+        self.ground = frozenset(covered)
         self.blocks = frozenset(canonical)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OrbitClassElement)
-            and self.ground == other.ground
-            and self.blocks == other.blocks
-        )
+        return isinstance(other, OrbitClassElement) and self.blocks == other.blocks
 
     def __hash__(self) -> int:
-        return hash((self.ground, self.blocks))
+        return hash(self.blocks)
 
     def __repr__(self) -> str:
         parts = sorted(self.blocks, key=lambda b: min(b[0]))
@@ -67,7 +58,7 @@ class OrbitClassElement:
         return inner if inner else "O()@{}"
 
 
-UNIT = OrbitClassElement((), ())
+UNIT = OrbitClassElement(())
 
 
 def class_of(alpha: Composition, ground: Iterable[str]) -> OrbitClassElement:
@@ -75,16 +66,14 @@ def class_of(alpha: Composition, ground: Iterable[str]) -> OrbitClassElement:
     ground = frozenset(ground)
     if alpha.weight != len(ground):
         raise ValueError(f"|{alpha}| = {alpha.weight} does not match {len(ground)} labels")
-    if not ground:
-        return UNIT
-    return OrbitClassElement(ground, [(ground, alpha)])
+    return OrbitClassElement([(ground, alpha)])
 
 
 def mu(x: OrbitClassElement, y: OrbitClassElement) -> OrbitClassElement:
     """Merge two elements over disjoint label sets (the free commutative product)."""
     if x.ground & y.ground:
         raise ValueError(f"ground sets overlap: {sorted(x.ground & y.ground)}")
-    return OrbitClassElement(x.ground | y.ground, list(x.blocks) + list(y.blocks))
+    return OrbitClassElement(x.blocks | y.blocks)
 
 
 def delta(x: OrbitClassElement, S: Iterable[str]) -> tuple[OrbitClassElement, OrbitClassElement]:
@@ -101,16 +90,10 @@ def delta(x: OrbitClassElement, S: Iterable[str]) -> tuple[OrbitClassElement, Or
     right_blocks: list[Block] = []
     for labels, comp in x.blocks:
         inside = labels & S
-        outside = labels - S
         left_part, right_part = restrict_contract(comp, len(inside))
-        if inside:
-            left_blocks.append((inside, left_part))
-        if outside:
-            right_blocks.append((outside, right_part))
-    return (
-        OrbitClassElement(S, left_blocks),
-        OrbitClassElement(x.ground - S, right_blocks),
-    )
+        left_blocks.append((inside, left_part))
+        right_blocks.append((labels - inside, right_part))
+    return OrbitClassElement(left_blocks), OrbitClassElement(right_blocks)
 
 
 # largest n ``count_structures`` accepts; the Stirling row costs about n^2 big-integer steps

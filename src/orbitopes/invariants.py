@@ -106,7 +106,7 @@ def chi(alpha: Composition) -> BinomialPolynomial:
                 for j, r in enumerate(row):
                     conv[i + j] += c * r
         coeffs = conv
-    scale = multinomial(n, alpha)
+    scale = multinomial(alpha)
     return BinomialPolynomial({k: scale * c for k, c in enumerate(coeffs) if c})
 
 

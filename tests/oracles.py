@@ -358,7 +358,7 @@ def face_antipode(alpha: Composition) -> HopfElement:
     """S(alpha) as (-1)^n times the sum of (-1)^dim Q * Q over the faces Q of O(alpha).
 
     Aguiar-Ardila, Hopf monoids and generalized permutahedra, Thm 7.1.  A face
-    is a composition c of n with multinomial(n; c) labelings; its pieces are
+    is a composition c of n with multinomial(c) labelings; its pieces are
     alpha cut at the partial sums of c, and a piece of weight k spans k - 1
     dimensions if it has two or more parts and is a point otherwise.  Two
     one-part pieces meeting at a cut strictly inside a part of alpha lie in
@@ -375,7 +375,7 @@ def face_antipode(alpha: Composition) -> HopfElement:
             continue
         dim = sum(p.weight - 1 for p in pieces if len(p) > 1)
         face = GeneratorMultiset(a for p in pieces for a in _class(p))
-        coeffs[face] = coeffs.get(face, 0) + (-1) ** (n + dim) * multinomial(n, c)
+        coeffs[face] = coeffs.get(face, 0) + (-1) ** (n + dim) * multinomial(c)
     return HopfElement(coeffs)
 
 
@@ -399,11 +399,10 @@ def partition_multisets(max_degree: int) -> list[GeneratorMultiset]:
 
 def refinement_chi(alpha: Composition) -> BinomialPolynomial:
     """Sum of multinomial(gamma) * binom(t, parts(gamma)) over all 2^(n - l) refinements."""
-    n = alpha.weight
     out: dict[int, Fraction] = {}
     for gamma in refinements(alpha):
         k = len(gamma)
-        out[k] = out.get(k, Fraction(0)) + multinomial(n, gamma)
+        out[k] = out.get(k, Fraction(0)) + multinomial(gamma)
     return BinomialPolynomial(out)
 
 
@@ -434,11 +433,9 @@ def relabel(x: OrbitClassElement, sigma) -> OrbitClassElement:
     """Push the element through a bijection of label sets; compositions are untouched."""
     if set(sigma) != set(x.ground):
         raise ValueError("relabeling must be defined on exactly the ground set")
-    image = set(sigma.values())
-    if len(image) != len(x.ground):
+    if len(set(sigma.values())) != len(x.ground):
         raise ValueError("relabeling must be a bijection")
-    blocks = [(frozenset(sigma[l] for l in labels), comp) for labels, comp in x.blocks]
-    return OrbitClassElement(image, blocks)
+    return OrbitClassElement((frozenset(sigma[l] for l in labels), comp) for labels, comp in x.blocks)
 
 
 def delta_iterated(x: OrbitClassElement, parts) -> list[OrbitClassElement]:

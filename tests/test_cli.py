@@ -552,6 +552,14 @@ def test_selftest_cli(capsys):
     assert json.loads(out) == selftest_report([25, 43, 8, 21, 25, 25, 9, 10])
 
 
+def test_selftest_cli_without_max_n_runs_the_default(capsys):
+    # no --max-n: the CLI calls run_selftest() and prints its max_n = 5 report
+    code, out, _ = invoke(capsys, "selftest")
+    assert code == 0
+    report = json.loads(out)
+    assert report == selftest_report([161, 683, 32, 85, 25, 25, 9, 10]) and report["passed"] == 1030
+
+
 def test_run_selftest_report():
     report = run_selftest(5)
     assert report == selftest_report([161, 683, 32, 85, 25, 25, 9, 10])

@@ -103,7 +103,7 @@ def test_distinct_permutations_matches_itertools():
     ]
     for values in multisets + [(F(1, 2), F(-3), F(1, 2), F(7, 3), F(-3))]:
         out = list(distinct_permutations(values))
-        expected = multinomial(len(values), C(Counter(values).values()))
+        expected = multinomial(C(Counter(values).values()))
         assert len(out) == len(set(out)) == expected
         assert set(out) == set(permutations(values))
     assert list(distinct_permutations([])) == [()]
@@ -211,9 +211,9 @@ def test_orbit_vertex_count_matches_multinomial():
     for n in range(1, 8):
         for alpha in compositions_of(n):
             p = representative_point(alpha, standard_ground(n))
-            assert vertex_count(p) == multinomial(n, alpha)
+            assert vertex_count(p) == multinomial(alpha)
             if n <= 6:
-                assert len(orbit_vertices(p)) == multinomial(n, alpha)
+                assert len(orbit_vertices(p)) == multinomial(alpha)
 
 
 def test_max_face_example_from_worked_case():

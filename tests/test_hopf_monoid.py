@@ -46,19 +46,34 @@ def test_canonical_form_identifies_points_with_singleton_products():
 
 
 def test_element_validation():
-    with pytest.raises(ValueError, match="cover"):
-        OrbitClassElement("ab", [(frozenset("a"), C((1,)))])
     with pytest.raises(ValueError, match="disjoint"):
-        OrbitClassElement("ab", [(frozenset("ab"), C((1, 1))), (frozenset("b"), C((1,)))])
+        OrbitClassElement([(frozenset("ab"), C((1, 1))), (frozenset("b"), C((1,)))])
     with pytest.raises(ValueError, match="fit"):
-        OrbitClassElement("ab", [(frozenset("ab"), C((1,)))])
-    with pytest.raises(ValueError, match="^block labels must lie in the ground set$"):
-        OrbitClassElement("ab", [(frozenset("abz"), C((2, 1)))])
+        OrbitClassElement([(frozenset("ab"), C((1,)))])
     # a plain tuple is read as a composition; equal elements hash equal
-    x = OrbitClassElement("abc", [("ab", (1, 1)), ("c", (1,))])
+    x = OrbitClassElement([("ab", (1, 1)), ("c", (1,))])
     assert all(type(comp) is Composition for _, comp in x.blocks)
     y = mu(class_of(C((1, 1)), "ab"), class_of(C((1,)), "c"))
     assert x == y and len({x, y}) == 1
+
+
+def test_ground_is_the_union_of_the_blocks():
+    rng = random.Random(32)
+    pool = [f"{c}{i}" for c in "abxy" for i in range(6)]
+    for _ in range(300):
+        labels = rng.sample(pool, rng.randint(0, 8))
+        cut = rng.randint(0, len(labels))
+        x = class_of(rng.choice(compositions_of(cut)), labels[:cut])
+        y = class_of(rng.choice(compositions_of(len(labels) - cut)), labels[cut:])
+        xy = mu(x, y)
+        S = {l for l in labels if rng.random() < 0.5}
+        left, right = delta(xy, S)
+        for z in (x, y, xy, left, right):
+            assert z.ground == frozenset().union(*(b for b, _ in z.blocks)), z
+        assert left.ground == S and right.ground == xy.ground - S
+        # equal blocks make equal elements with equal hashes, whatever built them
+        twin = OrbitClassElement(list(xy.blocks)[::-1])
+        assert twin == xy and hash(twin) == hash(xy) and twin.ground == xy.ground
 
 
 def test_relabel_examples():
